@@ -7,11 +7,34 @@ any intermediate on a path to one). Only the operations this package
 needs exist, and each op states its adjoint inline.
 
 Gradients accumulate in the tensor's own dtype: run float64 when
-verifying against finite differences, float32 when training.
+verifying against finite differences, float32 when training. Inside
+`no_grad()` no graph is recorded, for forward passes that never call
+backward().
 """
+
+import contextlib
+import contextvars
 
 import numpy as np
 from scipy import special
+
+from . import kernels
+
+_recording = contextvars.ContextVar("tempolink_autodiff_recording", default=True)
+
+
+@contextlib.contextmanager
+def no_grad():
+    """Build Tensors without parents or backward closures inside the block.
+
+    Values are computed exactly as with recording on; only the graph is
+    dropped, so intermediates are freed as soon as nothing else uses them.
+    """
+    token = _recording.set(False)
+    try:
+        yield
+    finally:
+        _recording.reset(token)
 
 
 def _reduce_to(g, shape):
@@ -29,6 +52,8 @@ class Tensor:
     __slots__ = ("data", "grad", "requires_grad", "_parents", "_backward")
 
     def __init__(self, data, requires_grad=False, _parents=(), _backward=None):
+        if not _recording.get():
+            _parents, _backward = (), None
         self.data = np.asarray(data)
         self.grad = None
         self.requires_grad = requires_grad or any(p.requires_grad for p in _parents)
@@ -220,11 +245,9 @@ def concat(tensors, axis=-1):
 def gather_rows(table, idx):
     """table[idx] along axis 0; idx may have any shape.
 
-    The adjoint scatter-adds row gradients back, so duplicate indices sum.
-    Runs through the kernel backend to keep accumulation order fixed.
+    The adjoint scatter-adds row gradients back, so duplicate indices sum
+    in a fixed order (see `kernels.scatter_add`).
     """
-    from . import kernels
-
     idx = np.ascontiguousarray(idx, dtype=np.int64)
 
     def bw(g):

@@ -1,10 +1,9 @@
 """Microbenchmarks for the cost model behind the design.
 
 Two claims get measured: history extraction is logarithmic in node degree
-(binary search over the per-node event arrays), and scoring cost grows
+(binary search over the index's sorted keys), and scoring cost grows
 linearly with the number of candidates. A third table contrasts the
-measured scoring times with the analytic per-candidate operation count,
-and a fourth compares the jitted kernels against the numpy fallback.
+measured scoring times with the analytic per-candidate operation count.
 """
 
 import csv
@@ -13,7 +12,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import kernels
 from .data import assemble_batch
 from .model import Model, ModelConfig
 from .store import build_index
@@ -131,51 +129,19 @@ def candidate_cost_model(q_grid, k, dim):
     return [float((1 + q) * k * dim + (1 + q) * dim * dim) for q in q_grid]
 
 
-def bench_backends(n_edges=200_000, n_queries=20_000, k=16, repeats=7, seed=0):
-    """Jitted kernels vs the numpy fallback on identical inputs."""
-    rng = np.random.default_rng(seed)
-    n_nodes = 500
-    src = rng.integers(0, n_nodes, n_edges).astype(np.int64)
-    dst = rng.integers(0, n_nodes, n_edges).astype(np.int64)
-    t = np.sort(rng.uniform(0, 1e6, n_edges))
-    index = build_index(src, dst, t, n_nodes)
-    nodes = rng.integers(0, n_nodes, n_queries)
-    times = rng.uniform(0, 1e6, n_queries)
-    table_rows = rng.standard_normal((50_000, 64)).astype(np.float32)
-    idx = rng.integers(0, 1000, 50_000)
-    rows = []
-    for name, impl in kernels.backends().items():
-        out_peer = np.full((n_queries, k), -1, dtype=np.int64)
-        out_time = np.zeros((n_queries, k))
-        out_n = np.zeros(n_queries, dtype=np.int64)
-
-        def run_window():
-            impl["recent_window"](index.ev_ptr, index.ev_peer, index.ev_time,
-                                  nodes, times, k, out_peer, out_time, out_n)
-
-        mean, p50, p95 = time_callable(run_window, repeats=repeats)
-        rows.append(BenchRow(f"recent_window/{name}", float(n_queries),
-                             mean, p50, p95, repeats))
-
-        table = np.zeros((1000, 64), dtype=np.float32)
-
-        def run_scatter():
-            impl["scatter_add"](table, idx, table_rows)
-
-        mean, p50, p95 = time_callable(run_scatter, repeats=repeats)
-        rows.append(BenchRow(f"scatter_add/{name}", float(len(idx)),
-                             mean, p50, p95, repeats))
-    return rows
-
-
 def extraction_ratio(rows):
-    """mean-time ratio between the largest and smallest degree measured."""
-    by_degree = {r.value: r.mean_ns for r in rows
+    """Median-time ratio between the largest and smallest degree measured.
+
+    Medians, not means: one scheduler stall in a sub-millisecond timing
+    would otherwise move the ratio several-fold.
+    """
+    by_degree = {r.value: r.p50_ns for r in rows
                  if r.knob == "extraction_degree"}
     lo, hi = min(by_degree), max(by_degree)
     return by_degree[hi] / by_degree[lo]
 
 
 def scoring_slope(rows):
-    pts = [(r.value, r.mean_ns) for r in rows if r.knob == "scoring_candidates"]
+    """Log-log slope of median scoring time against the candidate count."""
+    pts = [(r.value, r.p50_ns) for r in rows if r.knob == "scoring_candidates"]
     return loglog_slope([p[0] for p in pts], [p[1] for p in pts])

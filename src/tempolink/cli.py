@@ -16,7 +16,6 @@ import numpy as np
 
 from .ablation import run_ablation, save_ablation
 from .bench import (
-    bench_backends,
     bench_extraction,
     bench_scoring,
     extraction_ratio,
@@ -208,8 +207,6 @@ def cmd_bench(args):
         sc = bench_scoring(seed=args.seed)
         rows += sc
         print(f"scoring log-log slope vs candidates: {scoring_slope(sc):.3f}")
-    if args.suite in ("backends", "all"):
-        rows += bench_backends(seed=args.seed)
     write_csv(args.out, rows)
     print(f"wrote {args.out} ({len(rows)} rows)")
     return 0
@@ -263,8 +260,8 @@ def build_parser():
     sp.set_defaults(fn=cmd_ablate)
 
     sp = sub.add_parser("bench", help="run the complexity microbenchmarks")
-    sp.add_argument("--suite", choices=["extraction", "scoring", "backends",
-                                        "all"], default="all")
+    sp.add_argument("--suite", choices=["extraction", "scoring", "all"],
+                    default="all")
     sp.add_argument("--seed", type=int, default=0)
     sp.add_argument("--out", required=True)
     sp.set_defaults(fn=cmd_bench)

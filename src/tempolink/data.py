@@ -69,12 +69,20 @@ def chronological_split(m: int, spec: SplitSpec = SplitSpec()) -> Splits:
 # -- negative sampling --------------------------------------------------------
 
 
-def same_time_partners(src, dst, t):
+def same_time_partners(src, dst, t, rows=None):
     """Map (src, exact t) -> destination ids sharing that timestamp.
 
     Edges at the query's own timestamp are invisible to the model but are
-    still true positives, so they are never valid negatives.
+    still true positives, so they are never valid negatives. Given `rows`,
+    a slice of the time-sorted edges, only the edges inside those rows'
+    time span are walked; every key those rows look up keeps its full list.
     """
+    if rows is not None:
+        lo = hi = 0
+        if rows.stop > rows.start:
+            lo = np.searchsorted(t, t[rows.start], "left")
+            hi = np.searchsorted(t, t[rows.stop - 1], "right")
+        src, dst, t = src[lo:hi], dst[lo:hi], t[lo:hi]
     table = {}
     for s, d, tt in zip(src.tolist(), dst.tolist(), t.tolist()):
         table.setdefault((s, tt), []).append(d)
@@ -122,7 +130,7 @@ def eval_negatives(src, dst, t, sl, pool, q, seed, bipartite=False):
     links to at the exact same timestamp anywhere in the dataset, and the
     source itself on non-bipartite graphs. Deterministic in `seed`.
     """
-    partners = same_time_partners(src, dst, t)
+    partners = same_time_partners(src, dst, t, rows=sl)
     pool_set = set(pool.tolist())
     out = np.empty((sl.stop - sl.start, q), dtype=np.int64)
     for j, i in enumerate(range(sl.start, sl.stop)):
@@ -159,7 +167,7 @@ def train_negatives(src, dst, t, train_end, pool, seed, epoch, bipartite=False):
     rows that collided with the positive, the source, or a same-timestamp
     partner of the source.
     """
-    partners = same_time_partners(src, dst, t)
+    partners = same_time_partners(src, dst, t, rows=slice(0, train_end))
     rng = rng_for(seed, "train-neg", epoch)
     s_tr = src[:train_end]
     d_tr = dst[:train_end]

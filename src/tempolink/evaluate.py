@@ -6,6 +6,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .autodiff import no_grad
 from .data import assemble_batch
 
 
@@ -58,7 +59,8 @@ def evaluate(model, index, src, dst, t, sl, negs, batch_size=200, config=None):
 
     Rows whose source has no history are skipped and reported, not scored.
     Scores are computed in eval mode (dropout off), so the result is a
-    pure function of parameters and inputs regardless of batch size.
+    pure function of parameters and inputs regardless of batch size. No
+    autodiff graph is recorded while scoring.
     """
     t0 = time.perf_counter()
     ranks = []
@@ -74,7 +76,8 @@ def evaluate(model, index, src, dst, t, sl, negs, batch_size=200, config=None):
             skipped += chunk.size
             continue
         skipped += batch.skipped_cold
-        scores = model.score(batch).data
+        with no_grad():
+            scores = model.score(batch).data
         ranks.append(rank_of_positive(scores))
     ranks = np.concatenate(ranks) if ranks else np.array([], dtype=np.int64)
     mrr = float((1.0 / ranks).mean()) if ranks.size else 0.0

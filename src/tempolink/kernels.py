@@ -1,120 +1,18 @@
-"""Hot inner-loop kernels over the CSR neighbor index.
+"""The embedding-gradient scatter used by `autodiff.gather_rows`.
 
-Every kernel exists twice: a plain-Python/numpy reference and a numba
-@njit build of the exact same source. The active backend is chosen once
-at import time: set TEMPOLINK_NUMBA=0 to force the numpy path (it is
-also used automatically when numba is not importable). Both paths are
-bitwise-identical by construction -- loops run in the same order, so
-even float accumulation (scatter_add) matches.
+`scatter_add` is looked up as a module attribute at call time, so a
+caller can wrap or replace it from outside the package.
 """
-
-import os
 
 import numpy as np
 
-_want_jit = os.environ.get("TEMPOLINK_NUMBA", "1") != "0"
-try:
-    from numba import njit
 
-    HAVE_NUMBA = True
-except ImportError:  # pragma: no cover - exercised only without numba
-    HAVE_NUMBA = False
+def scatter_add(table, idx, rows):
+    """table[idx[i]] += rows[i] for every i, in index order.
 
-USE_NUMBA = _want_jit and HAVE_NUMBA
-
-
-def _bisect_left(arr, lo, hi, v):
-    # first index i in [lo, hi) with arr[i] >= v
-    while lo < hi:
-        mid = (lo + hi) // 2
-        if arr[mid] < v:
-            lo = mid + 1
-        else:
-            hi = mid
-    return lo
-
-
-def _recent_window(ev_ptr, ev_peer, ev_time, nodes, times, k, out_peer, out_time, out_n):
-    # For each (node, t) query: the <=k most recent source-role events with
-    # event time strictly before t, written oldest->newest into the RIGHTMOST
-    # slots of out_*[b]; left slots stay at the -1/0 fill. out_n[b] = count.
-    for b in range(nodes.shape[0]):
-        node = nodes[b]
-        lo = ev_ptr[node]
-        cut = _bisect_left(ev_time, lo, ev_ptr[node + 1], times[b])
-        n = cut - lo
-        if n > k:
-            n = k
-        out_n[b] = n
-        for j in range(n):
-            slot = k - n + j
-            src = cut - n + j
-            out_peer[b, slot] = ev_peer[src]
-            out_time[b, slot] = ev_time[src]
-
-
-def _last_before(act_ptr, act_time, nodes, times, out_t, out_has):
-    # Most recent activity (either role) strictly before t; out_has=0 if none.
-    for b in range(nodes.shape[0]):
-        node = nodes[b]
-        lo = act_ptr[node]
-        cut = _bisect_left(act_time, lo, act_ptr[node + 1], times[b])
-        if cut > lo:
-            out_t[b] = act_time[cut - 1]
-            out_has[b] = 1
-        else:
-            out_t[b] = 0
-            out_has[b] = 0
-
-
-def _pair_count(pc_ptr, pc_dst, pc_time, srcs, dsts, times, out):
-    # Number of (src, dst) edges with time strictly before t. pc_dst/pc_time
-    # are grouped by src and sorted by (dst, time) inside each group.
-    for b in range(srcs.shape[0]):
-        lo = pc_ptr[srcs[b]]
-        hi = pc_ptr[srcs[b] + 1]
-        d = dsts[b]
-        lo = _bisect_left(pc_dst, lo, hi, d)
-        hi = _bisect_left(pc_dst, lo, hi, d + 1)
-        out[b] = _bisect_left(pc_time, lo, hi, times[b]) - lo
-
-
-def _scatter_add(table, idx, rows):
-    # table[idx[i]] += rows[i], sequential so float accumulation order is fixed
-    for i in range(idx.shape[0]):
-        r = idx[i]
-        for j in range(rows.shape[1]):
-            table[r, j] += rows[i, j]
-
-
-_PY_IMPLS = {
-    "recent_window": _recent_window,
-    "last_before": _last_before,
-    "pair_count": _pair_count,
-    "scatter_add": _scatter_add,
-}
-
-if HAVE_NUMBA:
-    _bisect_left = njit(cache=True)(_bisect_left)
-    _JIT_IMPLS = {name: njit(cache=True)(fn) for name, fn in _PY_IMPLS.items()}
-else:
-    _JIT_IMPLS = {}
-
-_ACTIVE = _JIT_IMPLS if USE_NUMBA else _PY_IMPLS
-
-recent_window = _ACTIVE["recent_window"]
-last_before = _ACTIVE["last_before"]
-pair_count = _ACTIVE["pair_count"]
-scatter_add = _ACTIVE["scatter_add"]
-
-
-def backends():
-    """Available backend name -> kernel dict, for tests and benchmarks."""
-    out = {"numpy": _PY_IMPLS}
-    if HAVE_NUMBA:
-        out["numba"] = _JIT_IMPLS
-    return out
-
-
-def active_backend():
-    return "numba" if USE_NUMBA else "numpy"
+    `np.add.at` applies the additions unbuffered and in the order of
+    `idx`, so rows sharing an index are summed in a fixed sequence and
+    float results are bit-reproducible. A sort- or bincount-based
+    segment sum would change that order and with it the checkpoint bytes.
+    """
+    np.add.at(table, idx, rows)

@@ -26,6 +26,14 @@ class LinearScanOracle:
         return sum(1 for (s, d, tt) in self.edges if s == src and d == dst and tt < t)
 
 
+def scatter_add_loop(table, idx, rows):
+    """table[idx[i]] += rows[i], one element at a time, in index order."""
+    for i in range(idx.shape[0]):
+        r = idx[i]
+        for j in range(rows.shape[1]):
+            table[r, j] += rows[i, j]
+
+
 def random_graph(rng, n_nodes=60, n_edges=5000, t_scale=1000.0, dup_ts=True):
     src = rng.integers(0, n_nodes, n_edges)
     dst = rng.integers(0, n_nodes, n_edges)

@@ -4,7 +4,9 @@ import numpy as np
 import pytest
 from scipy import special
 
-from tempolink.autodiff import Tensor, concat, dropout, gather_rows, grad_check
+from oracles import scatter_add_loop
+from tempolink import kernels
+from tempolink.autodiff import Tensor, concat, dropout, gather_rows, grad_check, no_grad
 from tempolink.optim import Adam
 
 TOL = 1e-6  # per-primitive gradient agreement, float64
@@ -67,6 +69,35 @@ def test_gather_rows_backward_sums_duplicates():
     out = gather_rows(table, np.array([0, 0, 1]))
     out.backward(seed=np.array([[1.0, 2.0], [3.0, 4.0], [5.0, 6.0]]))
     np.testing.assert_allclose(table.grad, [[4.0, 6.0], [5.0, 6.0], [0.0, 0.0]])
+
+
+def test_scatter_add_matches_sequential_loop_bitwise():
+    rng = np.random.default_rng(4)
+    # float32 rows with many duplicate indices, so each output row sums a
+    # long chain whose rounding depends on the order of the additions
+    rows = (rng.standard_normal((3000, 16)) * 10.0 ** rng.integers(-3, 4, (3000, 1))
+            ).astype(np.float32)
+    idx = rng.integers(0, 7, 3000)
+    start = rng.standard_normal((7, 16)).astype(np.float32)
+    got, want = start.copy(), start.copy()
+    kernels.scatter_add(got, idx, rows)
+    scatter_add_loop(want, idx, rows)
+    assert got.dtype == np.float32
+    assert got.tobytes() == want.tobytes()
+
+
+def test_no_grad_drops_graph_and_restores_after_exception():
+    x = Tensor(np.array([1.0, 2.0, 3.0]), requires_grad=True)
+    with pytest.raises(RuntimeError, match="boom"):
+        with no_grad():
+            y = (x * 2.0).sum()
+            assert y._parents == () and y._backward is None
+            assert not y.requires_grad
+            raise RuntimeError("boom")
+    z = (x * 2.0).sum()
+    assert z._parents and z.requires_grad
+    z.backward()
+    np.testing.assert_array_equal(x.grad, [2.0, 2.0, 2.0])
 
 
 def test_concat_routes_gradient_slices():

@@ -8,7 +8,6 @@ import pytest
 from tempolink.bench import (
     BenchRow,
     CSV_COLUMNS,
-    bench_backends,
     bench_extraction,
     bench_scoring,
     candidate_cost_model,
@@ -80,15 +79,3 @@ def test_scoring_bench_small_grid():
 def test_candidate_cost_model_is_linear_in_q():
     costs = candidate_cost_model([100, 200, 400], k=8, dim=32)
     assert loglog_slope([100, 200, 400], costs) == pytest.approx(1.0, abs=0.02)
-
-
-def test_backend_bench_covers_available_backends():
-    from tempolink import kernels
-
-    rows = bench_backends(n_edges=20_000, n_queries=2_000, k=8, repeats=3)
-    knobs = {r.knob for r in rows}
-    assert "recent_window/numpy" in knobs
-    assert "scatter_add/numpy" in knobs
-    if "numba" in kernels.backends():
-        assert "recent_window/numba" in knobs
-        assert "scatter_add/numba" in knobs

@@ -77,6 +77,15 @@ def test_ingest_bipartite_disjoint_ids(tmp_path):
     assert set(meta.dst_nodes.tolist()) == set(dst.tolist())
 
 
+def test_ingest_rejects_non_finite_time(tmp_path, capsys):
+    raw = tmp_path / "nan.txt"
+    raw.write_text("1 2 1\n2 3 nan\n3 1 2\n")
+    out = tmp_path / "nan.bundle"
+    assert main(["ingest", "--input", str(raw), "--out", str(out)]) == 1
+    assert "error: timestamp nan at edge 2 is not finite" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_checksum_mismatch_rejected(tmp_path, capsys):
     csv_path = tmp_path / "events.csv"
     write_events(csv_path)
@@ -187,7 +196,7 @@ def test_ablate_command(tmp_path, tiny_config):
 
 def test_bench_command_writes_csv(tmp_path):
     out = tmp_path / "bench.csv"
-    code = main(["bench", "--suite", "backends", "--out", str(out)])
+    code = main(["bench", "--suite", "scoring", "--out", str(out)])
     assert code == 0
     header = out.read_text().splitlines()[0]
     assert header == "knob,value,mean_ns,p50_ns,p95_ns,repeats"

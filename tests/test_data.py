@@ -107,6 +107,21 @@ def test_eval_negatives_exclusions_and_determinism():
     assert (negs != other).any()
 
 
+def test_partners_in_row_span_match_the_full_table():
+    rng = np.random.default_rng(8)
+    # 900 edges on 30 distinct times: every row shares its time with others
+    src, dst, t = random_graph(rng, n_nodes=12, n_edges=900, t_scale=7.5)
+    full = same_time_partners(src, dst, t)
+    for rows in (slice(0, 1), slice(0, 630), slice(630, 765), slice(765, 900),
+                 slice(899, 900)):
+        part = same_time_partners(src, dst, t, rows=rows)
+        keys = {(int(src[i]), float(t[i])) for i in range(rows.start, rows.stop)}
+        assert keys <= set(part)
+        assert {key: part[key] for key in keys} == {key: full[key] for key in keys}
+        assert len(part) < len(full)
+    assert same_time_partners(src, dst, t, rows=slice(5, 5)) == {}
+
+
 def test_negative_cache_roundtrip_and_seed_guard(tmp_path):
     negs = np.arange(60, dtype=np.int64).reshape(6, 10)
     p = tmp_path / "negs.bin"

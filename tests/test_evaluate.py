@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from oracles import random_graph
-from tempolink.data import chronological_split, eval_negatives, SplitSpec
+from tempolink.data import assemble_batch, chronological_split, eval_negatives, SplitSpec
 from tempolink.evaluate import (
     EvalReport,
     edgebank_scores,
@@ -14,7 +14,7 @@ from tempolink.evaluate import (
     evaluate_edgebank,
     rank_of_positive,
 )
-from tempolink.model import Model, ModelConfig
+from tempolink.model import Model, ModelConfig, bpr_loss
 from tempolink.store import build_index
 
 
@@ -131,3 +131,18 @@ def test_eval_report_wall_time_positive(eval_setup):
     sl = splits.slices()["val"]
     rep = evaluate_edgebank(index, src, dst, t, sl, negs)
     assert rep.wall_ms > 0
+
+
+def test_training_after_evaluate_gets_gradients(eval_setup):
+    src, dst, t, index, splits, negs = eval_setup
+    cfg = ModelConfig(num_nodes=40, dim=16, heads=2, layers=1, k=8)
+    model = Model(cfg, seed=3)
+    evaluate(model, index, src, dst, t, splits.slices()["val"], negs)
+    rows = np.arange(1000, 1100)
+    cand = np.stack([dst[rows], (dst[rows] + 1) % 40], axis=1)
+    batch = assemble_batch(index, src[rows], t[rows], cand, cfg.k)
+    loss = bpr_loss(model.score(batch, training=True, rng=np.random.default_rng(0)))
+    loss.backward()
+    for name, p in model.params.items():
+        assert p.grad is not None and np.isfinite(p.grad).all(), name
+    assert np.abs(model.params["emb"].grad).sum() > 0

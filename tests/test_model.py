@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from oracles import random_graph, reference_bpr, reference_scores
-from tempolink.autodiff import Tensor, grad_check
+from tempolink.autodiff import Tensor, grad_check, no_grad
 from tempolink.data import QueryBatch, assemble_batch
 from tempolink.model import Model, ModelConfig, bce_loss, bpr_loss, init_params
 from tempolink.store import build_index
@@ -251,3 +251,16 @@ def test_dropout_changes_training_scores_but_not_eval():
     t1 = model.score(batch, training=True, rng=np.random.default_rng(1)).data
     t2 = model.score(batch, training=True, rng=np.random.default_rng(2)).data
     assert (t1 != t2).any()
+
+
+def test_no_grad_scores_are_bitwise_equal():
+    cfg = ModelConfig(num_nodes=30, dim=16, heads=2, layers=2, k=6,
+                      use_repeat=True, p_attn=0.2, p_hidden=0.3, p_emb=0.2)
+    model = Model(cfg, seed=6)
+    batch = make_batch(seed=16)
+    with_graph = model.score(batch)
+    with no_grad():
+        without = model.score(batch)
+    assert isinstance(without, Tensor)
+    assert with_graph._parents and without._parents == ()
+    assert without.data.tobytes() == with_graph.data.tobytes()

@@ -5,7 +5,6 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from oracles import LinearScanOracle, random_graph
-from tempolink import kernels
 from tempolink.store import GraphMeta, build_index, validate_edges
 
 
@@ -117,40 +116,96 @@ def test_candidate_pool():
         GraphMeta(num_nodes=10, bipartite=True).candidate_pool()
 
 
-def test_backends_agree_on_all_kernels(graph):
-    src, dst, t, index, _ = graph
-    impls = kernels.backends()
-    if len(impls) < 2:
-        pytest.skip("numba not available, single backend only")
-    rng = np.random.default_rng(23)
-    nodes = rng.integers(0, 60, 200)
-    times = rng.uniform(0, 1100, 200)
-    rows = rng.standard_normal((300, 4))
-    idx = rng.integers(0, 16, 300)
-    k = 8
-    results = {}
-    for name, impl in impls.items():
-        peer = np.full((200, k), -1, dtype=np.int64)
-        time = np.zeros((200, k))
-        n = np.zeros(200, dtype=np.int64)
-        impl["recent_window"](
-            index.ev_ptr, index.ev_peer, index.ev_time,
-            nodes, times, k, peer, time, n,
-        )
-        lt = np.zeros(200)
-        lh = np.zeros(200, dtype=np.int64)
-        impl["last_before"](index.act_ptr, index.act_time, nodes, times, lt, lh)
-        pc = np.zeros(200, dtype=np.int64)
-        impl["pair_count"](
-            index.pc_ptr, index.pc_dst, index.pc_time,
-            nodes, nodes[::-1].copy(), times, pc,
-        )
-        table = np.zeros((16, 4))
-        impl["scatter_add"](table, idx, rows)
-        results[name] = (peer, time, n, lt, lh, pc, table)
-    a, b = results["numpy"], results["numba"]
-    for x, y in zip(a, b):
-        np.testing.assert_array_equal(x, y)  # bitwise, including float sums
+def test_non_finite_times_rejected_with_ordinal():
+    src = np.array([0, 1, 2], dtype=np.int64)
+    dst = np.array([1, 2, 0], dtype=np.int64)
+    for bad in (np.nan, np.inf, -np.inf):
+        t = np.array([1.0, 2.0, 3.0])
+        t[1] = bad
+        with pytest.raises(ValueError, match="edge 1 is not finite"):
+            validate_edges(src, dst, t, 3)
+
+
+def test_keys_past_int64_rejected():
+    src = np.array([0, 1], dtype=np.int64)
+    dst = np.array([1, 0], dtype=np.int64)
+    t = np.array([1.0, 2.0])
+    # node-time keys: 2**62 nodes x 3 ranks; pair keys: (2**32)**2 pairs.
+    # Both fail before any array sized by the node count is allocated.
+    with pytest.raises(ValueError, match="node-time keys"):
+        build_index(src, dst, t, 2**62)
+    with pytest.raises(ValueError, match="pair keys"):
+        build_index(src, dst, t, 2**32)
+
+
+def test_bad_queries_rejected(graph):
+    _, _, _, index, _ = graph
+    ok_t = np.array([1.0])
+    with pytest.raises(ValueError, match="node ids"):
+        index.recent_neighbors_batch(np.array([60]), ok_t, 3)
+    with pytest.raises(ValueError, match="node ids"):
+        index.last_activity_batch(np.array([-1]), ok_t)
+    with pytest.raises(ValueError, match="node ids"):
+        index.repeat_count_batch(np.array([0]), np.array([60]), ok_t)
+    with pytest.raises(ValueError, match="NaN"):
+        index.repeat_count_batch(np.array([0]), np.array([1]), np.array([np.nan]))
+
+
+def test_empty_edge_array_answers_every_query_with_nothing():
+    empty = np.array([], dtype=np.int64)
+    index = build_index(empty, empty, np.array([]), 3)
+    qn, qt = np.array([0, 1, 2]), np.array([-np.inf, 0.0, 5.0])
+    peer, time, n = index.recent_neighbors_batch(qn, qt, 2)
+    assert n.tolist() == [0, 0, 0]
+    assert (peer == -1).all() and (time == 0.0).all()
+    last_t, has = index.last_activity_batch(qn, qt)
+    assert has.tolist() == [0, 0, 0] and last_t.tolist() == [0.0, 0.0, 0.0]
+    assert index.repeat_count_batch(qn, qn[::-1], qt).tolist() == [0, 0, 0]
+
+
+# half-steps land between event times; the ends lie before and after all
+QUERY_TIMES = [-np.inf, -1.0] + [x / 2 for x in range(15)] + [9.0, np.inf]
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.data())
+def test_index_queries_match_linear_scan(data):
+    # tie-heavy graphs on times 0..6, possibly empty; the last node takes
+    # part in no edge, so it is queried with no events at all
+    n_nodes = data.draw(st.integers(2, 8), label="n_nodes")
+    m = data.draw(st.integers(0, 40), label="m")
+    ids = st.lists(st.integers(0, n_nodes - 2), min_size=m, max_size=m)
+    src = np.array(data.draw(ids, label="src"), dtype=np.int64)
+    dst = np.array(data.draw(ids, label="dst"), dtype=np.int64)
+    t = np.sort(np.array(
+        data.draw(st.lists(st.integers(0, 6), min_size=m, max_size=m), label="t"),
+        dtype=np.float64))
+    index = build_index(src, dst, t, n_nodes)
+    oracle = LinearScanOracle(src, dst, t)
+    B = 24
+    nodes = st.lists(st.integers(0, n_nodes - 1), min_size=B, max_size=B)
+    qn = np.array(data.draw(nodes, label="qn"), dtype=np.int64)
+    qd = np.array(data.draw(nodes, label="qd"), dtype=np.int64)
+    qt = np.array(data.draw(st.lists(st.sampled_from(QUERY_TIMES), min_size=B,
+                                     max_size=B), label="qt"))
+    k = data.draw(st.integers(1, 6), label="k")
+
+    peer, time, n = index.recent_neighbors_batch(qn, qt, k)
+    last_t, has = index.last_activity_batch(qn, qt)
+    counts = index.repeat_count_batch(qn, qd, qt)
+    assert peer.dtype == n.dtype == has.dtype == counts.dtype == np.int64
+    assert time.dtype == last_t.dtype == np.float64
+    for b in range(B):
+        want_p, want_t = oracle.recent_neighbors(qn[b], qt[b], k)
+        got = int(n[b])
+        assert got == len(want_p)
+        assert peer[b, k - got:].tolist() == want_p
+        assert time[b, k - got:].tolist() == want_t
+        assert (peer[b, : k - got] == -1).all()
+        assert (time[b, : k - got] == 0.0).all()
+        want = oracle.last_activity(qn[b], qt[b])
+        assert (int(has[b]), float(last_t[b])) == ((0, 0.0) if want is None else (1, want))
+        assert counts[b] == oracle.repeat_count(qn[b], qd[b], qt[b])
 
 
 @settings(max_examples=40, deadline=None)
