@@ -10,6 +10,7 @@ The header may carry a small "meta" dict of JSON-serializable values.
 """
 
 import json
+import os
 import struct
 
 import numpy as np
@@ -37,17 +38,35 @@ def save_arrays(path, arrays, meta=None):
             f.write(b)
 
 
+def _read_exact(f, n, path, what):
+    """Read n bytes, checking first that the file still holds them.
+
+    The check comes before the read so that a corrupt length never asks
+    for a huge buffer.
+    """
+    left = os.fstat(f.fileno()).st_size - f.tell()
+    if n > left:
+        raise ValueError(
+            f"{path}: truncated: {what} needs {n} bytes, file holds {left}"
+        )
+    return f.read(n)
+
+
 def load_arrays(path):
-    """Read a container back; returns ({name: ndarray}, meta)."""
+    """Read a container back; returns ({name: ndarray}, meta).
+
+    A file cut short raises ValueError naming the path, the part that is
+    short (the header or an array) and its expected and actual byte counts.
+    """
     with open(path, "rb") as f:
         if f.read(len(MAGIC)) != MAGIC:
             raise ValueError(f"{path}: not an array container")
-        (hlen,) = struct.unpack("<Q", f.read(8))
-        header = json.loads(f.read(hlen))
+        (hlen,) = struct.unpack("<Q", _read_exact(f, 8, path, "header length"))
+        header = json.loads(_read_exact(f, hlen, path, "header"))
         out = {}
         for e in header["arrays"]:
             dt = np.dtype(e["dtype"])
             n = int(np.prod(e["shape"])) if e["shape"] else 1
-            buf = f.read(n * dt.itemsize)
+            buf = _read_exact(f, n * dt.itemsize, path, f"array {e['name']!r}")
             out[e["name"]] = np.frombuffer(buf, dtype=dt).reshape(e["shape"]).copy()
     return out, header.get("meta", {})

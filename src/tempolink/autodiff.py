@@ -6,10 +6,15 @@ gradients into every tensor built with requires_grad=True (and through
 any intermediate on a path to one). Only the operations this package
 needs exist, and each op states its adjoint inline.
 
-Gradients accumulate in the tensor's own dtype: run float64 when
-verifying against finite differences, float32 when training. Inside
-`no_grad()` no graph is recorded, for forward passes that never call
-backward().
+Every op keeps its input dtype: a result has the dtype of its parents,
+and every gradient has the dtype of the tensor it accumulates into.
+`Tensor` raises TypeError when either would change, so a float32 model
+computes in float32 end to end and float64 stays float64 (run float64
+when verifying against finite differences, float32 when training).
+Constants inside an op are cast to the operand's dtype for that reason:
+numpy promotes float32 combined with a numpy float64 scalar to float64.
+Inside `no_grad()` no graph is recorded, for forward passes that never
+call backward().
 """
 
 import contextlib
@@ -37,6 +42,13 @@ def no_grad():
         _recording.reset(token)
 
 
+def _op_name(backward):
+    """The op a backward closure belongs to, such as "Tensor.gelu"."""
+    if backward is None:
+        return "an op"
+    return backward.__qualname__.split(".<locals>")[0]
+
+
 def _reduce_to(g, shape):
     """Sum g down to `shape`, undoing numpy broadcasting."""
     extra = g.ndim - len(shape)
@@ -52,9 +64,13 @@ class Tensor:
     __slots__ = ("data", "grad", "requires_grad", "_parents", "_backward")
 
     def __init__(self, data, requires_grad=False, _parents=(), _backward=None):
+        self.data = np.asarray(data)
+        for p in _parents:
+            if p.data.dtype != self.data.dtype:
+                raise TypeError(f"{_op_name(_backward)} turned {p.data.dtype} "
+                                f"into {self.data.dtype}")
         if not _recording.get():
             _parents, _backward = (), None
-        self.data = np.asarray(data)
         self.grad = None
         self.requires_grad = requires_grad or any(p.requires_grad for p in _parents)
         self._parents = _parents
@@ -69,6 +85,8 @@ class Tensor:
         return self.data.dtype
 
     def _accum(self, g):
+        if g.dtype != self.data.dtype:
+            raise TypeError(f"{g.dtype} gradient for a {self.data.dtype} tensor")
         if self.grad is None:
             self.grad = np.zeros_like(self.data)
         self.grad += g
@@ -177,10 +195,11 @@ class Tensor:
 
     def gelu(self):
         x = self.data
-        cdf = 0.5 * (1.0 + special.erf(x / np.sqrt(2.0)))
+        c = x.dtype.type  # a float64 scalar would promote float32 x
+        cdf = 0.5 * (1.0 + special.erf(x / c(np.sqrt(2.0))))
 
         def bw(g):
-            pdf = np.exp(-0.5 * x * x) / np.sqrt(2.0 * np.pi)
+            pdf = np.exp(-0.5 * x * x) / c(np.sqrt(2.0 * np.pi))
             self._accum(g * (cdf + x * pdf))
 
         return Tensor(x * cdf, _parents=(self,), _backward=bw)

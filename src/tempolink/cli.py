@@ -7,6 +7,7 @@ the same artifacts.
 """
 
 import argparse
+import hashlib
 import json
 import sys
 from dataclasses import asdict
@@ -29,7 +30,7 @@ from .data import (
     load_negatives,
     save_negatives,
 )
-from .dataset import ingest, load_bundle
+from .dataset import bundle_sha256, ingest, load_bundle
 from .evaluate import evaluate, evaluate_edgebank
 from .model import Model, ModelConfig
 from .store import build_index
@@ -65,13 +66,26 @@ def _split_spec(raw):
     return SplitSpec(**raw.get("split", {}))
 
 
-def _negatives(out_dir, tag, src, dst, t, sl, pool, q, seed, bipartite):
-    """Fixed negative sets for an eval split, cached beside the outputs."""
+def _negatives(out_dir, tag, bundle, src, dst, t, sl, pool, q, seed, bipartite):
+    """Fixed negative sets for an eval split, cached beside the outputs.
+
+    The cache is keyed on every input of `eval_negatives`: the bundle's
+    sha256 (which covers the edges and bipartiteness), the split's rows,
+    the candidate pool, q and the seed. A cache built from other inputs
+    fails loudly instead of being reused.
+    """
     path = Path(out_dir) / f"negatives_{tag}_seed{seed}_q{q}.bin"
+    key = {
+        "bundle_sha256": bundle_sha256(bundle),
+        "start": int(sl.start),
+        "stop": int(sl.stop),
+        "pool_sha256": hashlib.sha256(
+            np.ascontiguousarray(pool, dtype=np.int64).tobytes()).hexdigest(),
+    }
     if path.exists():
-        return load_negatives(path, expect_seed=seed, expect_q=q)
+        return load_negatives(path, expect_seed=seed, expect_q=q, **key)
     negs = eval_negatives(src, dst, t, sl, pool, q, seed, bipartite)
-    save_negatives(path, negs, seed, q)
+    save_negatives(path, negs, seed, q, **key)
     return negs
 
 
@@ -113,8 +127,9 @@ def cmd_train(args):
     tcfg = _train_config(raw)
     dtype = np.float64 if args.precision == "double" else np.float32
 
-    val_negs = _negatives(out, "val", src, dst, t, splits.slices()["val"],
-                          pool, q_eval, args.seed, meta.bipartite)
+    val_negs = _negatives(out, "val", args.bundle, src, dst, t,
+                          splits.slices()["val"], pool, q_eval, args.seed,
+                          meta.bipartite)
     model = Model(cfg, seed=args.seed, dtype=dtype)
     best, history = train(
         model, index, src, dst, t, splits, pool, args.seed, tcfg=tcfg,
@@ -147,21 +162,25 @@ def cmd_evaluate(args):
     out = Path(args.out)
     out.parent.mkdir(parents=True, exist_ok=True)
 
-    negs = _negatives(out.parent, args.split, src, dst, t, sl, pool,
-                      args.q, args.seed, meta.bipartite)
-    if args.edgebank:
-        rep = evaluate_edgebank(index, src, dst, t, sl, negs, config={
-            "scorer": "edgebank", "split": args.split, "seed": args.seed,
-            "q": args.q,
-        })
-    else:
+    model = None
+    if not args.edgebank:
         if not args.model:
             raise ValueError("--model is required unless --edgebank is set")
         model = load_checkpoint(args.model)
-        rep = evaluate(model, index, src, dst, t, sl, negs, config={
-            "scorer": "model", "split": args.split, "seed": args.seed,
-            "q": args.q,
-        })
+        if model.cfg.num_nodes != meta.num_nodes:
+            raise ValueError(
+                f"{args.model}: checkpoint was trained on {model.cfg.num_nodes} "
+                f"nodes, bundle {args.bundle} has {meta.num_nodes}"
+            )
+
+    negs = _negatives(out.parent, args.split, args.bundle, src, dst, t, sl,
+                      pool, args.q, args.seed, meta.bipartite)
+    config = {"scorer": "edgebank" if args.edgebank else "model",
+              "split": args.split, "seed": args.seed, "q": args.q}
+    if args.edgebank:
+        rep = evaluate_edgebank(index, src, dst, t, sl, negs, config=config)
+    else:
+        rep = evaluate(model, index, src, dst, t, sl, negs, config=config)
     rep.save(out)
     print(f"{args.split} MRR {rep.mrr:.4f} over {rep.n_ranked} queries "
           f"({rep.n_skipped} skipped), report at {out}")
@@ -180,10 +199,10 @@ def cmd_ablate(args):
     out = Path(args.out)
     out.parent.mkdir(parents=True, exist_ok=True)
 
-    val_negs = _negatives(out.parent, "val", src, dst, t,
+    val_negs = _negatives(out.parent, "val", args.bundle, src, dst, t,
                           splits.slices()["val"], pool, q_eval, args.seed,
                           meta.bipartite)
-    test_negs = _negatives(out.parent, "test", src, dst, t,
+    test_negs = _negatives(out.parent, "test", args.bundle, src, dst, t,
                            splits.slices()["test"], pool, q_eval, args.seed,
                            meta.bipartite)
     results = run_ablation(cfg, tcfg, index, src, dst, t, splits, pool,

@@ -143,21 +143,35 @@ def eval_negatives(src, dst, t, sl, pool, q, seed, bipartite=False):
     return out
 
 
-def save_negatives(path, negs, seed, q):
-    save_arrays(path, {"negatives": negs}, meta={"seed": int(seed), "q": int(q)})
+def save_negatives(path, negs, seed, q, **key):
+    """Write eval negatives; `key` adds JSON fields naming the other inputs."""
+    save_arrays(path, {"negatives": negs},
+                meta={"seed": int(seed), "q": int(q), **key})
 
 
-def load_negatives(path, expect_seed=None, expect_q=None):
+def load_negatives(path, expect_seed=None, expect_q=None, **key):
+    """Read cached negatives, checking every given field against the cache's.
+
+    A stale cache, built from another bundle, split or pool, raises
+    ValueError naming the file and the first field that differs. When the
+    cache records its rows' `start` and `stop`, it must hold that many rows.
+    """
     arrays, meta = load_arrays(path)
-    if expect_seed is not None and meta.get("seed") != expect_seed:
+    want = {"seed": expect_seed, "q": expect_q, **key}
+    for field, value in want.items():
+        if value is not None and meta.get(field) != value:
+            raise ValueError(
+                f"{path}: negative cache has {field}={meta.get(field)!r}, "
+                f"wanted {field}={value!r}"
+            )
+    negs = arrays["negatives"]
+    if "start" in meta and "stop" in meta and \
+            negs.shape[0] != meta["stop"] - meta["start"]:
         raise ValueError(
-            f"negative cache built with seed {meta.get('seed')}, wanted {expect_seed}"
+            f"{path}: negative cache holds {negs.shape[0]} rows, its split "
+            f"[{meta['start']}, {meta['stop']}) has {meta['stop'] - meta['start']}"
         )
-    if expect_q is not None and meta.get("q") != expect_q:
-        raise ValueError(
-            f"negative cache holds q={meta.get('q')}, wanted {expect_q}"
-        )
-    return arrays["negatives"]
+    return negs
 
 
 def train_negatives(src, dst, t, train_end, pool, seed, epoch, bipartite=False):

@@ -8,6 +8,7 @@ the same input reproduces the identical file, byte for byte.
 
 import csv
 import hashlib
+import itertools
 import json
 from pathlib import Path
 
@@ -19,20 +20,39 @@ from .store import GraphMeta, validate_edges
 META_SUFFIX = ".meta.json"
 
 
-def _sniff_rows(path):
-    """Yield (src, dst, t) string triples from a comma- or space-separated file."""
+def _rows(path):
+    """Yield (line number, (src, dst, t)) from a comma- or space-separated file.
+
+    Line numbers count from 1 and include blank and header lines, as an
+    editor shows them. Blank lines are skipped, extra columns dropped.
+    """
     with open(path, newline="") as f:
         first = f.readline()
         f.seek(0)
         if "," in first:
             reader = csv.reader(f)
-            rows = ([c.strip() for c in row] for row in reader if row)
+            numbered = ((reader.line_num, [c.strip() for c in row])
+                        for row in reader)
         else:
-            rows = (line.split() for line in f if line.strip())
-        for row in rows:
+            numbered = enumerate((line.split() for line in f), 1)
+        for line, row in numbered:
+            if not row:
+                continue
             if len(row) < 3:
-                raise ValueError(f"{path}: need at least 3 columns, got {row}")
-            yield row[0], row[1], row[2]
+                raise ValueError(
+                    f"{path}: line {line}: need at least 3 columns, got {row}"
+                )
+            yield line, (row[0], row[1], row[2])
+
+
+def _bad_row(path, i, problem):
+    """ValueError naming the input line of the i-th row `_rows` yields.
+
+    The file is read again to find the line, so the common path keeps no
+    line numbers.
+    """
+    line = next(itertools.islice(_rows(path), i, None))[0]
+    return ValueError(f"{path}: line {line}: {problem}")
 
 
 def _is_number(s):
@@ -49,12 +69,14 @@ def ingest(input_path, out_path, bipartite=False):
     Node ids may be arbitrary strings; they are densified in order of
     first appearance. On bipartite graphs sources and destinations get
     disjoint id ranges even when the raw names coincide. Events are
-    sorted by timestamp with the input order breaking ties.
+    sorted by timestamp with the input order breaking ties. A bad row
+    raises ValueError naming its input line.
     """
-    rows = list(_sniff_rows(input_path))
-    if rows and not _is_number(rows[0][2]):
-        rows = rows[1:]  # header line
-    if not rows:
+    rows = [row for _, row in _rows(input_path)]
+    # a first row whose time column is not a number is a header line
+    skip = int(bool(rows) and not _is_number(rows[0][2]))
+    m = len(rows) - skip
+    if m == 0:
         raise ValueError(f"{input_path}: no event rows")
 
     ids = {}
@@ -65,14 +87,21 @@ def ingest(input_path, out_path, bipartite=False):
             ids[key] = len(ids)
         return ids[key]
 
-    m = len(rows)
     src = np.empty(m, dtype=np.int64)
     dst = np.empty(m, dtype=np.int64)
     t = np.empty(m, dtype=np.float64)
-    for i, (s, d, tt) in enumerate(rows):
+    for i, (s, d, tt) in enumerate(rows[skip:]):
         src[i] = remap(s, "s")
         dst[i] = remap(d, "d")
-        t[i] = float(tt)
+        try:
+            t[i] = float(tt)
+        except ValueError:
+            raise _bad_row(input_path, i + skip,
+                           f"timestamp {tt!r} is not a number") from None
+    bad = np.flatnonzero(~np.isfinite(t))
+    if bad.size:  # checked before the sort, which would move the row
+        i = int(bad[0]) + skip
+        raise _bad_row(input_path, i, f"timestamp {rows[i][2]} is not finite")
 
     order = np.argsort(t, kind="stable")
     src, dst, t = src[order], dst[order], t[order]
@@ -93,6 +122,12 @@ def ingest(input_path, out_path, bipartite=False):
     return sidecar
 
 
+def bundle_sha256(path):
+    """The bundle's sha256 as its sidecar records it."""
+    with open(str(path) + META_SUFFIX) as f:
+        return json.load(f)["sha256"]
+
+
 def load_bundle(path, verify=True):
     """Read a bundle back: (src, dst, t, GraphMeta).
 
@@ -100,12 +135,9 @@ def load_bundle(path, verify=True):
     file content; a corrupted or tampered bundle raises instead of
     feeding garbage into a run.
     """
-    sidecar_path = str(path) + META_SUFFIX
-    with open(sidecar_path) as f:
-        sidecar = json.load(f)
     if verify:
         digest = hashlib.sha256(Path(path).read_bytes()).hexdigest()
-        if digest != sidecar["sha256"]:
+        if digest != bundle_sha256(path):
             raise ValueError(
                 f"{path}: checksum mismatch (bundle corrupted or edited)"
             )

@@ -48,6 +48,32 @@ def test_gelu_values():
     assert y[3] == pytest.approx(1.0 * 0.5 * (1 + special.erf(1 / np.sqrt(2))))
 
 
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_gelu_keeps_dtype(dtype):
+    x = Tensor(np.linspace(-3, 3, 13).astype(dtype), requires_grad=True)
+    y = x.gelu()
+    assert y.dtype == dtype
+    y.sum().backward()
+    assert x.grad.dtype == dtype
+    if dtype == np.float64:  # the float64 result is the plain formula, bitwise
+        want = x.data * (0.5 * (1.0 + special.erf(x.data / np.sqrt(2.0))))
+        assert y.data.tobytes() == want.tobytes()
+
+
+def test_dtype_contract_rejects_promotion():
+    a = Tensor(np.ones(3, dtype=np.float32), requires_grad=True)
+    b = Tensor(np.ones(3, dtype=np.float64))
+    with pytest.raises(TypeError, match="Tensor.__add__ turned float32 into float64"):
+        a + b
+    with no_grad(), pytest.raises(TypeError, match="float64"):
+        a * b
+    # a backward closure that promotes is caught where it accumulates
+    y = Tensor(a.data * 2, _parents=(a,),
+               _backward=lambda g: a._accum(g.astype(np.float64)))
+    with pytest.raises(TypeError, match="float64 gradient for a float32 tensor"):
+        y.sum().backward()
+
+
 def test_log_rejects_nonpositive():
     with pytest.raises(ValueError, match="log"):
         Tensor(np.array([1.0, 0.0])).log()

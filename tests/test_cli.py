@@ -82,8 +82,23 @@ def test_ingest_rejects_non_finite_time(tmp_path, capsys):
     raw.write_text("1 2 1\n2 3 nan\n3 1 2\n")
     out = tmp_path / "nan.bundle"
     assert main(["ingest", "--input", str(raw), "--out", str(out)]) == 1
-    assert "error: timestamp nan at edge 2 is not finite" in capsys.readouterr().err
+    # named by its input line, not by its position after the time sort
+    assert f"error: {raw}: line 2: timestamp nan is not finite" in \
+        capsys.readouterr().err
     assert not out.exists()
+
+
+def test_ingest_bad_time_names_input_line_past_header_and_blanks(tmp_path, capsys):
+    raw = tmp_path / "bad.csv"
+    raw.write_text("src,dst,t\n1,2,5\n\n2,3,-inf\n3,1,2\n")
+    assert main(["ingest", "--input", str(raw), "--out",
+                 str(tmp_path / "b.bundle")]) == 1
+    assert f"{raw}: line 4: timestamp -inf is not finite" in capsys.readouterr().err
+    raw.write_text("1 2 5\n\n2 3 soon\n")
+    assert main(["ingest", "--input", str(raw), "--out",
+                 str(tmp_path / "b.bundle")]) == 1
+    assert f"{raw}: line 3: timestamp 'soon' is not a number" in \
+        capsys.readouterr().err
 
 
 def test_checksum_mismatch_rejected(tmp_path, capsys):
@@ -100,6 +115,53 @@ def test_checksum_mismatch_rejected(tmp_path, capsys):
     assert code == 1
     assert "checksum" in capsys.readouterr().err
     assert not out.exists()  # no partial artifacts on failure
+
+
+def test_stale_negative_cache_rejected(tmp_path, capsys):
+    # two bundles evaluated into one directory share a cache file name
+    bundles = []
+    for n in (3000, 2000):
+        raw = tmp_path / f"events{n}.csv"
+        write_events(raw, n=n)
+        bundles.append(tmp_path / f"b{n}.bundle")
+        assert main(["ingest", "--input", str(raw), "--out",
+                     str(bundles[-1])]) == 0
+    out = tmp_path / "eval" / "report.json"
+
+    def run(bundle):
+        return main(["evaluate", "--bundle", str(bundle), "--edgebank",
+                     "--split", "test", "--seed", "0", "--q", "5",
+                     "--out", str(out)])
+
+    assert run(bundles[0]) == 0
+    assert run(bundles[0]) == 0  # same inputs: the cache is reused
+    capsys.readouterr()
+    assert run(bundles[1]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ")
+    assert "negatives_test_seed0_q5.bin" in err and "bundle_sha256" in err
+
+
+def test_checkpoint_node_count_must_match_bundle(tmp_path, tiny_config, capsys):
+    csv_path = tmp_path / "events.csv"
+    write_events(csv_path)
+    bundle = tmp_path / "x.bundle"
+    main(["ingest", "--input", str(csv_path), "--out", str(bundle)])
+    run = tmp_path / "run"
+    assert main(["train", "--bundle", str(bundle), "--config",
+                 str(tiny_config), "--seed", "3", "--out", str(run)]) == 0
+    small_csv = tmp_path / "small.csv"
+    write_events(small_csv, n_nodes=10)
+    small = tmp_path / "small.bundle"
+    main(["ingest", "--input", str(small_csv), "--out", str(small)])
+    report = tmp_path / "report.json"
+    code = main(["evaluate", "--bundle", str(small), "--model",
+                 str(run / "model.bin"), "--config", str(tiny_config),
+                 "--seed", "3", "--q", "5", "--out", str(report)])
+    assert code == 1
+    assert ("error: " + str(run / "model.bin") + ": checkpoint was trained on "
+            "14 nodes, bundle " + str(small) + " has 10") in capsys.readouterr().err
+    assert not report.exists()
 
 
 def test_split_manifest(tmp_path):

@@ -4,6 +4,7 @@ import hashlib
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from oracles import LinearScanOracle, random_graph
 from tempolink.array_io import load_arrays, save_arrays
@@ -133,6 +134,21 @@ def test_negative_cache_roundtrip_and_seed_guard(tmp_path):
         load_negatives(p, expect_q=7)
 
 
+def test_negative_cache_checks_key_fields_and_row_count(tmp_path):
+    negs = np.zeros((6, 3), dtype=np.int64)
+    p = tmp_path / "negs.bin"
+    save_negatives(p, negs, seed=1, q=3, start=10, stop=16, bundle_sha256="ab")
+    load_negatives(p, expect_seed=1, expect_q=3, start=10, stop=16,
+                   bundle_sha256="ab")
+    with pytest.raises(ValueError, match=f"{p}: .* has bundle_sha256='ab'"):
+        load_negatives(p, bundle_sha256="cd")
+    with pytest.raises(ValueError, match="has stop=16, wanted stop=17"):
+        load_negatives(p, start=10, stop=17)
+    save_negatives(p, negs, seed=1, q=3, start=10, stop=15)
+    with pytest.raises(ValueError, match="holds 6 rows, its split \\[10, 15\\) has 5"):
+        load_negatives(p, start=10, stop=15)
+
+
 def test_train_negatives_collision_free_and_epoch_fresh():
     rng = np.random.default_rng(5)
     src, dst, t = random_graph(rng, n_nodes=30, n_edges=1000, t_scale=40.0)
@@ -194,6 +210,50 @@ def test_array_container_roundtrip_and_byte_stability(tmp_path):
         p3 = tmp_path / "junk.bin"
         p3.write_bytes(b"not a container")
         load_arrays(p3)
+
+
+@pytest.fixture(scope="module")
+def cut_dir(tmp_path_factory):
+    return tmp_path_factory.mktemp("cut")
+
+
+_arrays = st.dictionaries(
+    st.sampled_from(["a", "b", "src", "negatives"]),
+    st.tuples(st.sampled_from(["<i8", "<f4", "|i1", "<f8"]),
+              st.lists(st.integers(0, 4), max_size=3)),
+    min_size=1, max_size=3,
+)
+
+
+@settings(max_examples=25, deadline=None)
+@given(spec=_arrays, meta=st.dictionaries(st.text(max_size=3), st.integers(),
+                                           max_size=2))
+def test_truncated_container_names_file_and_array(cut_dir, spec, meta):
+    arrays = {name: np.arange(int(np.prod(shape)), dtype=dt).reshape(shape)
+              for name, (dt, shape) in spec.items()}
+    path = cut_dir / "c.bin"
+    save_arrays(path, arrays, meta=meta)
+    blob = path.read_bytes()
+    loaded, _ = load_arrays(path)
+    assert all(loaded[k].tobytes() == arrays[k].tobytes() for k in arrays)
+
+    start = len(blob) - sum(a.nbytes for a in arrays.values())  # first array
+    for cut in range(len(blob)):
+        path.write_bytes(blob[:cut])
+        with pytest.raises(ValueError) as e:
+            load_arrays(path)
+        msg = str(e.value)
+        assert msg.startswith(f"{path}: ")
+        if cut < start:
+            continue
+        offset = start
+        for name in sorted(arrays):  # the container's order
+            size = arrays[name].nbytes
+            if offset + size > cut:
+                break
+            offset += size
+        assert msg == (f"{path}: truncated: array {name!r} needs {size} bytes, "
+                       f"file holds {cut - offset}")
 
 
 # -- batch assembly --------------------------------------------------------------

@@ -264,3 +264,43 @@ def test_no_grad_scores_are_bitwise_equal():
     assert isinstance(without, Tensor)
     assert with_graph._parents and without._parents == ()
     assert without.data.tobytes() == with_graph.data.tobytes()
+
+
+def _graph_nodes(root):
+    nodes, stack, seen = [], [root], set()
+    while stack:
+        node = stack.pop()
+        if id(node) not in seen:
+            seen.add(id(node))
+            nodes.append(node)
+            stack.extend(node._parents)
+    return nodes
+
+
+def test_float32_model_computes_in_float32_end_to_end():
+    cfg = ModelConfig(num_nodes=30, dim=16, heads=2, layers=2, k=6,
+                      use_repeat=True, p_attn=0.2, p_hidden=0.3, p_emb=0.2)
+    model = Model(cfg, seed=6, dtype=np.float32)
+    batch = make_batch(seed=16, C=2)
+    assert model.score(batch).dtype == np.float32
+    loss = bpr_loss(model.score(batch, training=True,
+                                rng=np.random.default_rng(3)))
+    nodes = _graph_nodes(loss)
+    assert len(nodes) > 100
+    assert {str(n.dtype) for n in nodes} == {"float32"}
+    loss.backward()
+    for name, p in model.params.items():
+        assert p.grad is not None and p.grad.dtype == np.float32, name
+
+
+@pytest.mark.parametrize("positional", ["index", "interval"])
+def test_float32_scores_match_float64_reference(positional):
+    cfg = ModelConfig(num_nodes=30, dim=16, heads=2, layers=2, k=6,
+                      use_repeat=True, positional=positional,
+                      p_attn=0.0, p_hidden=0.0, p_emb=0.0)
+    model = Model(cfg, seed=8, dtype=np.float32)
+    batch = make_batch(seed=5)
+    got = model.score(batch).data
+    params = {k: v.astype(np.float64) for k, v in np_params(model).items()}
+    want = reference_scores(params, cfg, batch)
+    np.testing.assert_allclose(got, want, rtol=1e-4, atol=1e-4)
