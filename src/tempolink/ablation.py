@@ -26,8 +26,7 @@ def ablation_variants(cfg: ModelConfig):
 
 
 def run_ablation(cfg, tcfg, index, src, dst, t, splits, pool, seed,
-                 val_negs, test_negs, bipartite=False, log=None,
-                 eval_batch=200):
+                 val_negs, test_negs, bipartite=False, log=None):
     """Train and test each variant; returns {variant: result dict}."""
     results = {}
     sl_test = splits.slices()["test"]
@@ -38,10 +37,9 @@ def run_ablation(cfg, tcfg, index, src, dst, t, splits, pool, seed,
         best_val, history = train(
             model, index, src, dst, t, splits, pool, seed, tcfg=tcfg,
             val_negs=val_negs, bipartite=bipartite, log=log,
-            eval_batch=eval_batch,
         )
         rep = evaluate(model, index, src, dst, t, sl_test, test_negs,
-                       batch_size=eval_batch, config={"variant": name})
+                       config={"variant": name})
         results[name] = {
             "val_mrr": best_val,
             "test_mrr": rep.mrr,

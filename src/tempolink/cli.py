@@ -12,6 +12,7 @@ import json
 import sys
 from dataclasses import asdict
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 
@@ -48,43 +49,49 @@ def load_config(path):
     return raw
 
 
-def _model_config(raw, num_nodes):
+def _section(raw, name, cls, **fixed):
+    """Build `cls` from the config section `name`; a bad key is a ValueError."""
     try:
-        return ModelConfig(num_nodes=num_nodes, **raw.get("model", {}))
+        return cls(**fixed, **raw.get(name, {}))
     except TypeError as e:
-        raise ValueError(f"bad model config: {e}") from None
+        raise ValueError(f"bad {name} config: {e}") from None
 
 
-def _train_config(raw):
-    try:
-        return TrainConfig(**raw.get("train", {}))
-    except TypeError as e:
-        raise ValueError(f"bad train config: {e}") from None
+def _load(args):
+    """The bundle, config, index, splits and candidate pool of a run."""
+    src, dst, t, meta = load_bundle(args.bundle)
+    raw = load_config(args.config) if args.config else {}
+    spec = _section(raw, "split", SplitSpec)
+    return SimpleNamespace(
+        src=src, dst=dst, t=t, meta=meta, raw=raw, spec=spec,
+        bundle_sha256=bundle_sha256(args.bundle),
+        index=build_index(src, dst, t, meta.num_nodes),
+        splits=chronological_split(len(src), spec),
+        pool=meta.candidate_pool(),
+    )
 
 
-def _split_spec(raw):
-    return SplitSpec(**raw.get("split", {}))
-
-
-def _negatives(out_dir, tag, bundle, src, dst, t, sl, pool, q, seed, bipartite):
-    """Fixed negative sets for an eval split, cached beside the outputs.
+def _negatives(run, out_dir, split, q, seed):
+    """Fixed negative sets for an eval split of `run`, cached beside the outputs.
 
     The cache is keyed on every input of `eval_negatives`: the bundle's
     sha256 (which covers the edges and bipartiteness), the split's rows,
     the candidate pool, q and the seed. A cache built from other inputs
     fails loudly instead of being reused.
     """
-    path = Path(out_dir) / f"negatives_{tag}_seed{seed}_q{q}.bin"
+    sl = run.splits.slices()[split]
+    path = Path(out_dir) / f"negatives_{split}_seed{seed}_q{q}.bin"
     key = {
-        "bundle_sha256": bundle_sha256(bundle),
+        "bundle_sha256": run.bundle_sha256,
         "start": int(sl.start),
         "stop": int(sl.stop),
         "pool_sha256": hashlib.sha256(
-            np.ascontiguousarray(pool, dtype=np.int64).tobytes()).hexdigest(),
+            np.ascontiguousarray(run.pool, dtype=np.int64).tobytes()).hexdigest(),
     }
     if path.exists():
         return load_negatives(path, expect_seed=seed, expect_q=q, **key)
-    negs = eval_negatives(src, dst, t, sl, pool, q, seed, bipartite)
+    negs = eval_negatives(run.src, run.dst, run.t, sl, run.pool, q, seed,
+                          run.meta.bipartite)
     save_negatives(path, negs, seed, q, **key)
     return negs
 
@@ -99,7 +106,7 @@ def cmd_ingest(args):
 def cmd_split(args):
     src, dst, t, meta = load_bundle(args.bundle)
     raw = load_config(args.config) if args.config else {}
-    splits = chronological_split(len(src), _split_spec(raw))
+    splits = chronological_split(len(src), _section(raw, "split", SplitSpec))
     manifest = {
         "m": splits.m,
         "train_end": splits.train_end,
@@ -114,37 +121,32 @@ def cmd_split(args):
 
 
 def cmd_train(args):
-    src, dst, t, meta = load_bundle(args.bundle)
-    raw = load_config(args.config) if args.config else {}
+    run = _load(args)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
 
-    index = build_index(src, dst, t, meta.num_nodes)
-    splits = chronological_split(len(src), _split_spec(raw))
-    pool = meta.candidate_pool()
-    q_eval = int(raw.get("q_eval", 100))
-    cfg = _model_config(raw, meta.num_nodes)
-    tcfg = _train_config(raw)
+    q_eval = int(run.raw.get("q_eval", 100))
+    cfg = _section(run.raw, "model", ModelConfig, num_nodes=run.meta.num_nodes)
+    tcfg = _section(run.raw, "train", TrainConfig)
     dtype = np.float64 if args.precision == "double" else np.float32
 
-    val_negs = _negatives(out, "val", args.bundle, src, dst, t,
-                          splits.slices()["val"], pool, q_eval, args.seed,
-                          meta.bipartite)
+    val_negs = _negatives(run, out, "val", q_eval, args.seed)
     model = Model(cfg, seed=args.seed, dtype=dtype)
     best, history = train(
-        model, index, src, dst, t, splits, pool, args.seed, tcfg=tcfg,
-        val_negs=val_negs, metrics_path=out / "metrics.jsonl",
-        bipartite=meta.bipartite,
+        model, run.index, run.src, run.dst, run.t, run.splits, run.pool,
+        args.seed, tcfg=tcfg, val_negs=val_negs,
+        metrics_path=out / "metrics.jsonl", bipartite=run.meta.bipartite,
         log=print if args.verbose else None,
     )
     save_checkpoint(out / "model.bin", model, extra={
-        "bundle": str(args.bundle),
-        "split": asdict(_split_spec(raw)),
+        "bundle_sha256": run.bundle_sha256,
+        "split": asdict(run.spec),
         "q_eval": q_eval,
         "best_val_mrr": best,
     })
-    rep = evaluate(model, index, src, dst, t, splits.slices()["val"],
-                   val_negs, batch_size=tcfg.batch_size,
+    rep = evaluate(model, run.index, run.src, run.dst, run.t,
+                   run.splits.slices()["val"], val_negs,
+                   batch_size=tcfg.batch_size,
                    config={"split": "val", "seed": args.seed, "q": q_eval})
     rep.save(out / "val_report.json")
     print(f"trained {len(history)} epochs, best val MRR {best:.4f}, "
@@ -153,12 +155,7 @@ def cmd_train(args):
 
 
 def cmd_evaluate(args):
-    src, dst, t, meta = load_bundle(args.bundle)
-    raw = load_config(args.config) if args.config else {}
-    index = build_index(src, dst, t, meta.num_nodes)
-    splits = chronological_split(len(src), _split_spec(raw))
-    sl = splits.slices()[args.split]
-    pool = meta.candidate_pool()
+    run = _load(args)
     out = Path(args.out)
     out.parent.mkdir(parents=True, exist_ok=True)
 
@@ -167,20 +164,22 @@ def cmd_evaluate(args):
         if not args.model:
             raise ValueError("--model is required unless --edgebank is set")
         model = load_checkpoint(args.model)
-        if model.cfg.num_nodes != meta.num_nodes:
+        if model.cfg.num_nodes != run.meta.num_nodes:
             raise ValueError(
                 f"{args.model}: checkpoint was trained on {model.cfg.num_nodes} "
-                f"nodes, bundle {args.bundle} has {meta.num_nodes}"
+                f"nodes, bundle {args.bundle} has {run.meta.num_nodes}"
             )
 
-    negs = _negatives(out.parent, args.split, args.bundle, src, dst, t, sl,
-                      pool, args.q, args.seed, meta.bipartite)
+    negs = _negatives(run, out.parent, args.split, args.q, args.seed)
+    sl = run.splits.slices()[args.split]
     config = {"scorer": "edgebank" if args.edgebank else "model",
               "split": args.split, "seed": args.seed, "q": args.q}
     if args.edgebank:
-        rep = evaluate_edgebank(index, src, dst, t, sl, negs, config=config)
+        rep = evaluate_edgebank(run.index, run.src, run.dst, run.t, sl, negs,
+                                config=config)
     else:
-        rep = evaluate(model, index, src, dst, t, sl, negs, config=config)
+        rep = evaluate(model, run.index, run.src, run.dst, run.t, sl, negs,
+                       config=config)
     rep.save(out)
     print(f"{args.split} MRR {rep.mrr:.4f} over {rep.n_ranked} queries "
           f"({rep.n_skipped} skipped), report at {out}")
@@ -188,26 +187,18 @@ def cmd_evaluate(args):
 
 
 def cmd_ablate(args):
-    src, dst, t, meta = load_bundle(args.bundle)
-    raw = load_config(args.config) if args.config else {}
-    index = build_index(src, dst, t, meta.num_nodes)
-    splits = chronological_split(len(src), _split_spec(raw))
-    pool = meta.candidate_pool()
-    q_eval = int(raw.get("q_eval", 100))
-    cfg = _model_config(raw, meta.num_nodes)
-    tcfg = _train_config(raw)
+    run = _load(args)
+    q_eval = int(run.raw.get("q_eval", 100))
+    cfg = _section(run.raw, "model", ModelConfig, num_nodes=run.meta.num_nodes)
+    tcfg = _section(run.raw, "train", TrainConfig)
     out = Path(args.out)
     out.parent.mkdir(parents=True, exist_ok=True)
 
-    val_negs = _negatives(out.parent, "val", args.bundle, src, dst, t,
-                          splits.slices()["val"], pool, q_eval, args.seed,
-                          meta.bipartite)
-    test_negs = _negatives(out.parent, "test", args.bundle, src, dst, t,
-                           splits.slices()["test"], pool, q_eval, args.seed,
-                           meta.bipartite)
-    results = run_ablation(cfg, tcfg, index, src, dst, t, splits, pool,
-                           args.seed, val_negs, test_negs,
-                           bipartite=meta.bipartite,
+    val_negs = _negatives(run, out.parent, "val", q_eval, args.seed)
+    test_negs = _negatives(run, out.parent, "test", q_eval, args.seed)
+    results = run_ablation(cfg, tcfg, run.index, run.src, run.dst, run.t,
+                           run.splits, run.pool, args.seed, val_negs,
+                           test_negs, bipartite=run.meta.bipartite,
                            log=print if args.verbose else None)
     save_ablation(out, results)
     for name, r in results.items():

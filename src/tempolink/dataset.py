@@ -128,19 +128,17 @@ def bundle_sha256(path):
         return json.load(f)["sha256"]
 
 
-def load_bundle(path, verify=True):
+def load_bundle(path):
     """Read a bundle back: (src, dst, t, GraphMeta).
 
-    With verify on (the default), the sidecar checksum must match the
-    file content; a corrupted or tampered bundle raises instead of
-    feeding garbage into a run.
+    The sidecar checksum must match the file content; a corrupted or
+    tampered bundle raises instead of feeding garbage into a run.
     """
-    if verify:
-        digest = hashlib.sha256(Path(path).read_bytes()).hexdigest()
-        if digest != bundle_sha256(path):
-            raise ValueError(
-                f"{path}: checksum mismatch (bundle corrupted or edited)"
-            )
+    digest = hashlib.sha256(Path(path).read_bytes()).hexdigest()
+    if digest != bundle_sha256(path):
+        raise ValueError(
+            f"{path}: checksum mismatch (bundle corrupted or edited)"
+        )
     arrays, core = load_arrays(path)
     meta = GraphMeta(
         num_nodes=core["num_nodes"],

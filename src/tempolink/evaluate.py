@@ -54,13 +54,12 @@ def _hist(ranks):
     return {int(v): int(c) for v, c in zip(vals, counts)}
 
 
-def evaluate(model, index, src, dst, t, sl, negs, batch_size=200, config=None):
-    """MRR of a model over eval rows `sl` with per-row negatives `negs`.
+def _rank(sl, dst, negs, batch_size, score_chunk, config):
+    """Report over rows `sl`: each row's `dst` ranked against its `negs`.
 
-    Rows whose source has no history are skipped and reported, not scored.
-    Scores are computed in eval mode (dropout off), so the result is a
-    pure function of parameters and inputs regardless of batch size. No
-    autodiff graph is recorded while scoring.
+    Rows go through in chunks of `batch_size`. `score_chunk(rows, cand)`
+    returns (scores [rows, 1 + q] or None, number of rows skipped); None
+    skips the whole chunk.
     """
     t0 = time.perf_counter()
     ranks = []
@@ -71,14 +70,10 @@ def evaluate(model, index, src, dst, t, sl, negs, batch_size=200, config=None):
         cand = np.concatenate(
             [dst[chunk, None], negs[chunk - sl.start]], axis=1
         )
-        batch = assemble_batch(index, src[chunk], t[chunk], cand, model.cfg.k)
-        if batch is None:
-            skipped += chunk.size
-            continue
-        skipped += batch.skipped_cold
-        with no_grad():
-            scores = model.score(batch).data
-        ranks.append(rank_of_positive(scores))
+        scores, n_skipped = score_chunk(chunk, cand)
+        skipped += n_skipped
+        if scores is not None:
+            ranks.append(rank_of_positive(scores))
     ranks = np.concatenate(ranks) if ranks else np.array([], dtype=np.int64)
     mrr = float((1.0 / ranks).mean()) if ranks.size else 0.0
     return EvalReport(
@@ -89,6 +84,24 @@ def evaluate(model, index, src, dst, t, sl, negs, batch_size=200, config=None):
         config=config or {},
         ranks_hist=_hist(ranks),
     )
+
+
+def evaluate(model, index, src, dst, t, sl, negs, batch_size=200, config=None):
+    """MRR of a model over eval rows `sl` with per-row negatives `negs`.
+
+    Rows whose source has no history are skipped and reported, not scored.
+    Scores are computed in eval mode (dropout off), so the result is a
+    pure function of parameters and inputs regardless of batch size. No
+    autodiff graph is recorded while scoring.
+    """
+    def score_chunk(chunk, cand):
+        batch = assemble_batch(index, src[chunk], t[chunk], cand, model.cfg.k)
+        if batch is None:
+            return None, chunk.size
+        with no_grad():
+            return model.score(batch).data, batch.skipped_cold
+
+    return _rank(sl, dst, negs, batch_size, score_chunk, config)
 
 
 def edgebank_scores(index, src_q, t_q, cand):
@@ -102,22 +115,7 @@ def edgebank_scores(index, src_q, t_q, cand):
 
 def evaluate_edgebank(index, src, dst, t, sl, negs, batch_size=2000, config=None):
     """MRR of the memorization baseline; scores every row, even cold ones."""
-    t0 = time.perf_counter()
-    ranks = []
-    rows = np.arange(sl.start, sl.stop)
-    for lo in range(0, rows.size, batch_size):
-        chunk = rows[lo: lo + batch_size]
-        cand = np.concatenate(
-            [dst[chunk, None], negs[chunk - sl.start]], axis=1
-        )
-        scores = edgebank_scores(index, src[chunk], t[chunk], cand)
-        ranks.append(rank_of_positive(scores))
-    ranks = np.concatenate(ranks)
-    return EvalReport(
-        mrr=float((1.0 / ranks).mean()),
-        n_ranked=int(ranks.size),
-        n_skipped=0,
-        wall_ms=(time.perf_counter() - t0) * 1e3,
-        config=config or {},
-        ranks_hist=_hist(ranks),
-    )
+    def score_chunk(chunk, cand):
+        return edgebank_scores(index, src[chunk], t[chunk], cand), 0
+
+    return _rank(sl, dst, negs, batch_size, score_chunk, config)

@@ -20,7 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .autodiff import Tensor, concat, dropout, gather_rows
-from .data import QueryBatch, rng_for
+from .data import QueryBatch
 
 NEG_INF = -1e30  # additive mask; exp underflows to exactly 0 after the shift
 
@@ -145,26 +145,28 @@ class Model:
         s = s * Tensor(mask[:, :, None])  # padded slots contribute exact zeros
         return s, mask
 
+    def _heads(self, x):
+        """[B, n, dim] -> [B, heads, n, head_width]."""
+        B, n, _ = x.shape
+        nh, dh = self.cfg.heads, self.cfg.head_width()
+        return x.reshape(B, n, nh, dh).transpose(0, 2, 1, 3)
+
+    def _attention(self, h, s, mask, layer):
+        """Softmax weights [B, heads, C, k] of candidates over history slots."""
+        p, dh = self.params, self.cfg.head_width()
+        q = self._heads(h @ p[f"l{layer}.wq"])
+        kk = self._heads(s @ p[f"l{layer}.wk"])
+        logits = (q @ kk.transpose(0, 1, 3, 2)) * (1.0 / np.sqrt(dh))
+        # additive mask: padded slots drop to -1e30 and get zero weight
+        bias = ((mask - 1.0) * -NEG_INF)[:, None, None, :]
+        return (logits + Tensor(bias.astype(self.dtype))).softmax_rows()
+
     def _attend(self, h, s, mask, layer, training, rng):
         """One cross-attention + feed-forward block with residuals."""
         cfg, p = self.cfg, self.params
         B, C, d = h.shape
-        k = s.shape[1]
-        nh, dh = cfg.heads, cfg.head_width()
-
-        def split(x, n):
-            return x.reshape(B, n, nh, dh).transpose(0, 2, 1, 3)
-
-        q = split(h @ p[f"l{layer}.wq"], C)
-        kk = split(s @ p[f"l{layer}.wk"], k)
-        v = split(s @ p[f"l{layer}.wv"], k)
-
-        logits = (q @ kk.transpose(0, 1, 3, 2)) * (1.0 / np.sqrt(dh))
-        # additive mask: padded slots drop to -1e30 and get zero weight
-        bias = ((mask - 1.0) * -NEG_INF)[:, None, None, :]
-        att = (logits + Tensor(bias.astype(self.dtype))).softmax_rows()
-        att = dropout(att, cfg.p_attn, rng, training)
-
+        att = dropout(self._attention(h, s, mask, layer), cfg.p_attn, rng, training)
+        v = self._heads(s @ p[f"l{layer}.wv"])
         z = (att @ v).transpose(0, 2, 1, 3).reshape(B, C, d)
         h = z @ p[f"l{layer}.wo"] + h
 
@@ -218,20 +220,12 @@ class Model:
         Recomputes the forward pass up to the requested layer's softmax;
         meant for inspection and invariant checks, not training.
         """
-        cfg, p = self.cfg, self.params
         rng = np.random.default_rng(0)
         s, mask = self._neighbor_memory(batch, False, rng)
-        h = gather_rows(p["emb"], batch.cand)
+        h = gather_rows(self.params["emb"], batch.cand)
         for lyr in range(layer):
             h = self._attend(h, s, mask, lyr, False, rng)
-        B, C, d = h.shape
-        k = s.shape[1]
-        nh, dh = cfg.heads, cfg.head_width()
-        q = (h @ p[f"l{layer}.wq"]).reshape(B, C, nh, dh).transpose(0, 2, 1, 3)
-        kk = (s @ p[f"l{layer}.wk"]).reshape(B, k, nh, dh).transpose(0, 2, 1, 3)
-        logits = (q @ kk.transpose(0, 1, 3, 2)) * (1.0 / np.sqrt(dh))
-        bias = ((mask - 1.0) * -NEG_INF)[:, None, None, :]
-        return (logits + Tensor(bias.astype(self.dtype))).softmax_rows().data
+        return self._attention(h, s, mask, layer).data
 
     # -- persistence ----------------------------------------------------------
 
@@ -255,22 +249,16 @@ def bpr_loss(scores: Tensor) -> Tensor:
     B, C = scores.shape
     if C != 2:
         raise ValueError("pairwise loss needs exactly one negative per positive")
-    pos_minus_neg = _column(scores, 0) - _column(scores, 1)
+    pos_minus_neg = scores @ Tensor(np.array([[1.0], [-1.0]], dtype=scores.dtype))
     return (pos_minus_neg * -1.0).softplus().mean()
 
 
 def bce_loss(scores: Tensor) -> Tensor:
-    """Binary cross-entropy: positive in column 0, negatives everywhere else."""
-    B, C = scores.shape
-    total = (_column(scores, 0) * -1.0).softplus().sum()  # -log sigmoid(pos)
-    for c in range(1, C):
-        total = total + _column(scores, c).softplus().sum()  # -log(1 - sigmoid)
-    return total * (1.0 / (B * C))
+    """Binary cross-entropy: positive in column 0, negatives everywhere else.
 
-
-def _column(scores: Tensor, c: int) -> Tensor:
-    """Select one candidate column as [B, 1] without a slicing primitive."""
+    softplus(-pos) = -log sigmoid(pos) and softplus(neg) = -log(1 - sigmoid(neg)).
+    """
     B, C = scores.shape
-    e = np.zeros((C, 1), dtype=scores.dtype)
-    e[c, 0] = 1.0
-    return scores @ Tensor(e)
+    sign = np.ones(C, dtype=scores.dtype)
+    sign[0] = -1.0
+    return (scores * sign).softplus().sum() * (1.0 / (B * C))

@@ -19,15 +19,9 @@ answers a whole batch of queries.
 """
 
 from dataclasses import dataclass, field
-from typing import NamedTuple, Optional
+from typing import Optional
 
 import numpy as np
-
-
-class TemporalEdge(NamedTuple):
-    src: int
-    dst: int
-    t: float
 
 
 @dataclass

@@ -66,8 +66,7 @@ def train_epoch(model, opt, index, src, dst, t, train_end, pool, seed, epoch,
 
 
 def train(model, index, src, dst, t, splits, pool, seed, tcfg=TrainConfig(),
-          val_negs=None, metrics_path=None, bipartite=False, log=None,
-          eval_batch=200):
+          val_negs=None, metrics_path=None, bipartite=False, log=None):
     """Fit until validation MRR stops improving; restores the best epoch.
 
     Writes one JSON line per epoch to metrics_path when given. Returns
@@ -87,8 +86,7 @@ def train(model, index, src, dst, t, splits, pool, seed, tcfg=TrainConfig(),
             )
             val_mrr = None
             if val_negs is not None:
-                rep = evaluate(model, index, src, dst, t, sl_val, val_negs,
-                               batch_size=eval_batch)
+                rep = evaluate(model, index, src, dst, t, sl_val, val_negs)
                 val_mrr = rep.mrr
             row = {
                 "epoch": epoch,

@@ -380,12 +380,12 @@ def real_run(tmp_path_factory):
     src, dst, t, meta = load_bundle(bundle)
 
     raw_cfg = cli.load_config(ROOT / "configs" / "uci.json")
-    cfg = cli._model_config(raw_cfg, meta.num_nodes)
-    tcfg = cli._train_config(raw_cfg)
+    cfg = cli._section(raw_cfg, "model", ModelConfig, num_nodes=meta.num_nodes)
+    tcfg = cli._section(raw_cfg, "train", TrainConfig)
     q = int(raw_cfg.get("q_eval", 100))
 
     index = build_index(src, dst, t, meta.num_nodes)
-    splits = chronological_split(len(src), cli._split_spec(raw_cfg))
+    splits = chronological_split(len(src), cli._section(raw_cfg, "split", SplitSpec))
     pool = meta.candidate_pool()
     sl = splits.slices()
     val_negs = eval_negatives(src, dst, t, sl["val"], pool, q, seed=0)

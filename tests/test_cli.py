@@ -2,12 +2,15 @@
 
 import json
 import hashlib
+import shutil
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+from tempolink.array_io import load_arrays
 from tempolink.cli import main
-from tempolink.dataset import ingest, load_bundle
+from tempolink.dataset import META_SUFFIX, bundle_sha256, ingest, load_bundle
 
 
 def write_events(path, n=400, n_nodes=14, seed=0, delimiter=","):
@@ -228,6 +231,29 @@ def test_train_is_bitwise_deterministic(tmp_path, tiny_config):
     assert metric_rows[0] == metric_rows[1]
 
 
+def test_checkpoint_bytes_do_not_depend_on_bundle_path(tmp_path, tiny_config):
+    csv_path = tmp_path / "events.csv"
+    write_events(csv_path)
+    bundle = tmp_path / "x.bundle"
+    main(["ingest", "--input", str(csv_path), "--out", str(bundle)])
+    sidecar = Path(str(bundle) + META_SUFFIX)
+    digests = []
+    for where in ("a", "b/c"):
+        copy = tmp_path / where / "copy.bundle"
+        copy.parent.mkdir(parents=True)
+        shutil.copy(bundle, copy)
+        shutil.copy(sidecar, str(copy) + META_SUFFIX)
+        run = tmp_path / where / "run"
+        assert main(["train", "--bundle", str(copy), "--config",
+                     str(tiny_config), "--seed", "11", "--out",
+                     str(run)]) == 0
+        digests.append(hashlib.sha256((run / "model.bin").read_bytes())
+                       .hexdigest())
+    assert digests[0] == digests[1]
+    _, meta = load_arrays(run / "model.bin")
+    assert meta["extra"]["bundle_sha256"] == bundle_sha256(bundle)
+
+
 def test_edgebank_evaluation(tmp_path):
     csv_path = tmp_path / "events.csv"
     write_events(csv_path)
@@ -283,14 +309,17 @@ def test_unknown_config_section_rejected(tmp_path, capsys):
     assert "unknown config sections" in capsys.readouterr().err
 
 
-def test_bad_model_key_rejected(tmp_path, capsys):
+@pytest.mark.parametrize("section,key", [
+    ("model", "width"), ("train", "epochs"), ("split", "train_fraction"),
+])
+def test_bad_config_key_rejected(tmp_path, capsys, section, key):
     csv_path = tmp_path / "events.csv"
     write_events(csv_path)
     bundle = tmp_path / "x.bundle"
     main(["ingest", "--input", str(csv_path), "--out", str(bundle)])
     bad = tmp_path / "bad.json"
-    bad.write_text(json.dumps({"model": {"width": 32}}))
+    bad.write_text(json.dumps({section: {key: 32}}))
     code = main(["train", "--bundle", str(bundle), "--config", str(bad),
                  "--seed", "1", "--out", str(tmp_path / "run")])
     assert code == 1
-    assert "bad model config" in capsys.readouterr().err
+    assert f"bad {section} config" in capsys.readouterr().err

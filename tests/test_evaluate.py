@@ -1,6 +1,7 @@
 """Ranking metric and baseline checks."""
 
 import json
+from functools import partial
 
 import numpy as np
 import pytest
@@ -81,14 +82,18 @@ def eval_setup():
     return src, dst, t, index, splits, negs
 
 
-def test_evaluate_is_batch_size_invariant(eval_setup):
+@pytest.mark.parametrize("scorer,big", [("model", 200), ("edgebank", 2000)])
+def test_evaluate_is_batch_size_invariant(eval_setup, scorer, big):
     src, dst, t, index, splits, negs = eval_setup
     cfg = ModelConfig(num_nodes=40, dim=16, heads=2, layers=1, k=8)
     model = Model(cfg, seed=3, dtype=np.float64)
+    rank = {"model": partial(evaluate, model, index),
+            "edgebank": partial(evaluate_edgebank, index)}[scorer]
     sl = splits.slices()["val"]
-    r1 = evaluate(model, index, src, dst, t, sl, negs, batch_size=7)
-    r2 = evaluate(model, index, src, dst, t, sl, negs, batch_size=200)
+    r1 = rank(src, dst, t, sl, negs, batch_size=7)
+    r2 = rank(src, dst, t, sl, negs, batch_size=big)
     assert r1.mrr == pytest.approx(r2.mrr, rel=1e-12)
+    assert r1.ranks_hist == r2.ranks_hist
     assert r1.n_ranked == r2.n_ranked
     assert r1.n_skipped == r2.n_skipped
     assert r1.n_ranked + r1.n_skipped == sl.stop - sl.start

@@ -207,6 +207,15 @@ def test_bpr_loss_matches_reference_and_shape_guard():
         bpr_loss(Tensor(rng.standard_normal((4, 3))))
 
 
+@pytest.mark.parametrize("C", [2, 3, 8])
+def test_bce_loss_matches_numpy_formula(C):
+    raw = np.random.default_rng(C).standard_normal((50, C)) * 3.0
+    # -log sigmoid(pos) for column 0, -log(1 - sigmoid(neg)) for the rest
+    want = (np.log1p(np.exp(-raw[:, 0])).sum()
+            + np.log1p(np.exp(raw[:, 1:])).sum()) / raw.size
+    assert float(bce_loss(Tensor(raw)).data) == pytest.approx(want, rel=1e-12)
+
+
 def test_bce_loss_direction():
     good = Tensor(np.array([[5.0, -5.0], [4.0, -6.0]]))
     bad = Tensor(np.array([[-5.0, 5.0], [-4.0, 6.0]]))
