@@ -17,6 +17,7 @@ from types import SimpleNamespace
 import numpy as np
 
 from .ablation import run_ablation, save_ablation
+from .array_io import read_digest
 from .bench import (
     bench_extraction,
     bench_scoring,
@@ -31,7 +32,7 @@ from .data import (
     load_negatives,
     save_negatives,
 )
-from .dataset import bundle_sha256, ingest, load_bundle
+from .dataset import ingest, load_bundle
 from .evaluate import evaluate, evaluate_edgebank
 from .model import Model, ModelConfig
 from .store import build_index
@@ -58,13 +59,16 @@ def _section(raw, name, cls, **fixed):
 
 
 def _load(args):
-    """The bundle, config, index, splits and candidate pool of a run."""
+    """The bundle, config sections, index, splits and candidate pool of a run."""
     src, dst, t, meta = load_bundle(args.bundle)
     raw = load_config(args.config) if args.config else {}
     spec = _section(raw, "split", SplitSpec)
     return SimpleNamespace(
-        src=src, dst=dst, t=t, meta=meta, raw=raw, spec=spec,
-        bundle_sha256=bundle_sha256(args.bundle),
+        src=src, dst=dst, t=t, meta=meta, spec=spec,
+        q_eval=int(raw.get("q_eval", 100)),
+        cfg=_section(raw, "model", ModelConfig, num_nodes=meta.num_nodes),
+        tcfg=_section(raw, "train", TrainConfig),
+        bundle_sha256=read_digest(args.bundle),
         index=build_index(src, dst, t, meta.num_nodes),
         splits=chronological_split(len(src), spec),
         pool=meta.candidate_pool(),
@@ -74,8 +78,8 @@ def _load(args):
 def _negatives(run, out_dir, split, q, seed):
     """Fixed negative sets for an eval split of `run`, cached beside the outputs.
 
-    The cache is keyed on every input of `eval_negatives`: the bundle's
-    sha256 (which covers the edges and bipartiteness), the split's rows,
+    The cache is keyed on every input of `eval_negatives`: the sha256 the
+    bundle records (which covers the edges and bipartiteness), the split's rows,
     the candidate pool, q and the seed. A cache built from other inputs
     fails loudly instead of being reused.
     """
@@ -97,9 +101,9 @@ def _negatives(run, out_dir, split, q, seed):
 
 
 def cmd_ingest(args):
-    sidecar = ingest(args.input, args.out, bipartite=args.bipartite)
-    print(f"wrote {args.out}: {sidecar['m']} events, "
-          f"{sidecar['num_nodes']} nodes, sha256 {sidecar['sha256'][:12]}")
+    info = ingest(args.input, args.out, bipartite=args.bipartite)
+    print(f"wrote {args.out}: {info['m']} events, "
+          f"{info['num_nodes']} nodes, sha256 {info['sha256'][:12]}")
     return 0
 
 
@@ -124,30 +128,26 @@ def cmd_train(args):
     run = _load(args)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
-
-    q_eval = int(run.raw.get("q_eval", 100))
-    cfg = _section(run.raw, "model", ModelConfig, num_nodes=run.meta.num_nodes)
-    tcfg = _section(run.raw, "train", TrainConfig)
     dtype = np.float64 if args.precision == "double" else np.float32
 
-    val_negs = _negatives(run, out, "val", q_eval, args.seed)
-    model = Model(cfg, seed=args.seed, dtype=dtype)
+    val_negs = _negatives(run, out, "val", run.q_eval, args.seed)
+    model = Model(run.cfg, seed=args.seed, dtype=dtype)
     best, history = train(
         model, run.index, run.src, run.dst, run.t, run.splits, run.pool,
-        args.seed, tcfg=tcfg, val_negs=val_negs,
+        args.seed, tcfg=run.tcfg, val_negs=val_negs,
         metrics_path=out / "metrics.jsonl", bipartite=run.meta.bipartite,
         log=print if args.verbose else None,
     )
     save_checkpoint(out / "model.bin", model, extra={
         "bundle_sha256": run.bundle_sha256,
         "split": asdict(run.spec),
-        "q_eval": q_eval,
+        "q_eval": run.q_eval,
         "best_val_mrr": best,
     })
     rep = evaluate(model, run.index, run.src, run.dst, run.t,
                    run.splits.slices()["val"], val_negs,
-                   batch_size=tcfg.batch_size,
-                   config={"split": "val", "seed": args.seed, "q": q_eval})
+                   batch_size=run.tcfg.batch_size,
+                   config={"split": "val", "seed": args.seed, "q": run.q_eval})
     rep.save(out / "val_report.json")
     print(f"trained {len(history)} epochs, best val MRR {best:.4f}, "
           f"artifacts in {out}")
@@ -188,16 +188,13 @@ def cmd_evaluate(args):
 
 def cmd_ablate(args):
     run = _load(args)
-    q_eval = int(run.raw.get("q_eval", 100))
-    cfg = _section(run.raw, "model", ModelConfig, num_nodes=run.meta.num_nodes)
-    tcfg = _section(run.raw, "train", TrainConfig)
     out = Path(args.out)
     out.parent.mkdir(parents=True, exist_ok=True)
 
-    val_negs = _negatives(run, out.parent, "val", q_eval, args.seed)
-    test_negs = _negatives(run, out.parent, "test", q_eval, args.seed)
-    results = run_ablation(cfg, tcfg, run.index, run.src, run.dst, run.t,
-                           run.splits, run.pool, args.seed, val_negs,
+    val_negs = _negatives(run, out.parent, "val", run.q_eval, args.seed)
+    test_negs = _negatives(run, out.parent, "test", run.q_eval, args.seed)
+    results = run_ablation(run.cfg, run.tcfg, run.index, run.src, run.dst,
+                           run.t, run.splits, run.pool, args.seed, val_negs,
                            test_negs, bipartite=run.meta.bipartite,
                            log=print if args.verbose else None)
     save_ablation(out, results)
@@ -283,7 +280,7 @@ def main(argv=None):
     args = build_parser().parse_args(argv)
     try:
         return args.fn(args)
-    except (ValueError, RuntimeError, FileNotFoundError) as e:
+    except (ValueError, RuntimeError, OSError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 1
 

@@ -51,11 +51,7 @@ class Splits:
         }
 
     def sizes(self):
-        return {
-            "train": self.train_end,
-            "val": self.val_end - self.train_end,
-            "test": self.m - self.val_end,
-        }
+        return {k: s.stop - s.start for k, s in self.slices().items()}
 
 
 def chronological_split(m: int, spec: SplitSpec = SplitSpec()) -> Splits:

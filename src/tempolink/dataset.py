@@ -1,23 +1,20 @@
 """Dataset ingestion: raw event files to a checksummed binary bundle.
 
-A bundle is one array container (src, dst, t, and the destination
-partition for bipartite graphs) plus a JSON sidecar holding counts and
-the container's sha256. Ingestion is deterministic, so re-running it on
-the same input reproduces the identical file, byte for byte.
+A bundle is one self-verifying array container (src, dst, t, and the
+destination partition for bipartite graphs) whose meta holds its kind and
+counts. Ingestion is deterministic, so re-running it on the same input
+reproduces the identical file, byte for byte.
 """
 
 import csv
-import hashlib
 import itertools
-import json
-from pathlib import Path
 
 import numpy as np
 
 from .array_io import load_arrays, save_arrays
 from .store import GraphMeta, validate_edges
 
-META_SUFFIX = ".meta.json"
+BUNDLE_KIND = "tempolink-bundle"
 
 
 def _rows(path):
@@ -112,34 +109,20 @@ def ingest(input_path, out_path, bipartite=False):
     if bipartite:
         arrays["dst_nodes"] = np.unique(dst)
     core = {"num_nodes": num_nodes, "bipartite": bool(bipartite), "m": m}
-    save_arrays(out_path, arrays, meta=core)
-
-    digest = hashlib.sha256(Path(out_path).read_bytes()).hexdigest()
-    sidecar = dict(core, sha256=digest)
-    with open(str(out_path) + META_SUFFIX, "w") as f:
-        json.dump(sidecar, f, sort_keys=True, indent=2)
-        f.write("\n")
-    return sidecar
-
-
-def bundle_sha256(path):
-    """The bundle's sha256 as its sidecar records it."""
-    with open(str(path) + META_SUFFIX) as f:
-        return json.load(f)["sha256"]
+    digest = save_arrays(out_path, arrays, meta=dict(core, kind=BUNDLE_KIND))
+    return dict(core, sha256=digest)
 
 
 def load_bundle(path):
     """Read a bundle back: (src, dst, t, GraphMeta).
 
-    The sidecar checksum must match the file content; a corrupted or
-    tampered bundle raises instead of feeding garbage into a run.
+    The container checks its own sha256, so a corrupted or tampered
+    bundle raises instead of feeding garbage into a run; so does any
+    other kind of container.
     """
-    digest = hashlib.sha256(Path(path).read_bytes()).hexdigest()
-    if digest != bundle_sha256(path):
-        raise ValueError(
-            f"{path}: checksum mismatch (bundle corrupted or edited)"
-        )
     arrays, core = load_arrays(path)
+    if core.get("kind") != BUNDLE_KIND:
+        raise ValueError(f"{path}: not an event bundle")
     meta = GraphMeta(
         num_nodes=core["num_nodes"],
         bipartite=core["bipartite"],

@@ -2,7 +2,7 @@
 
 import json
 import time
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
@@ -32,17 +32,7 @@ class EvalReport:
     ranks_hist: dict = field(default_factory=dict)  # rank -> count, for audits
 
     def to_json(self):
-        return json.dumps(
-            {
-                "mrr": self.mrr,
-                "n_ranked": self.n_ranked,
-                "n_skipped": self.n_skipped,
-                "wall_ms": self.wall_ms,
-                "config": self.config,
-                "ranks_hist": self.ranks_hist,
-            },
-            sort_keys=True,
-        )
+        return json.dumps(asdict(self), sort_keys=True)
 
     def save(self, path):
         with open(path, "w") as f:

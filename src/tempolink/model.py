@@ -14,13 +14,12 @@ Position 0 of the learned positional table means "most recent", so the
 table is indexed in reverse slot order.
 """
 
-import zlib
 from dataclasses import dataclass
 
 import numpy as np
 
 from .autodiff import Tensor, concat, dropout, gather_rows
-from .data import QueryBatch
+from .data import QueryBatch, rng_for
 
 NEG_INF = -1e30  # additive mask; exp underflows to exactly 0 after the shift
 
@@ -53,18 +52,14 @@ class ModelConfig:
         return self.dim * (1 + int(self.use_elapsed) + int(self.use_repeat))
 
 
-def _seed_for(seed, name):
-    return np.random.SeedSequence([int(seed), zlib.crc32(name.encode())])
-
-
 def _glorot(seed, name, fan_in, fan_out, dtype):
-    rng = np.random.default_rng(_seed_for(seed, name))
+    rng = rng_for(seed, name)
     lim = np.sqrt(6.0 / (fan_in + fan_out))
     return rng.uniform(-lim, lim, (fan_in, fan_out)).astype(dtype)
 
 
 def _normal(seed, name, shape, scale, dtype):
-    rng = np.random.default_rng(_seed_for(seed, name))
+    rng = rng_for(seed, name)
     return (rng.standard_normal(shape) * scale).astype(dtype)
 
 

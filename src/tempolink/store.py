@@ -194,9 +194,6 @@ class NeighborIndex:
         )
         return int(out[0])
 
-    def degree(self, node) -> int:
-        return int(self.ev_ptr[node + 1] - self.ev_ptr[node])
-
 
 def build_index(src, dst, t, num_nodes) -> NeighborIndex:
     """Build the three key-sorted layouts from time-sorted edge arrays.

@@ -3,14 +3,13 @@
 import json
 import hashlib
 import shutil
-from pathlib import Path
 
 import numpy as np
 import pytest
 
-from tempolink.array_io import load_arrays
+from tempolink.array_io import load_arrays, read_digest
 from tempolink.cli import main
-from tempolink.dataset import META_SUFFIX, bundle_sha256, ingest, load_bundle
+from tempolink.dataset import ingest, load_bundle
 
 
 def write_events(path, n=400, n_nodes=14, seed=0, delimiter=","):
@@ -104,20 +103,53 @@ def test_ingest_bad_time_names_input_line_past_header_and_blanks(tmp_path, capsy
         capsys.readouterr().err
 
 
-def test_checksum_mismatch_rejected(tmp_path, capsys):
+@pytest.mark.parametrize("flipped", [
+    "x.bundle", "run/model.bin", "run/negatives_val_seed3_q5.bin",
+], ids=["bundle", "checkpoint", "negative-cache"])
+def test_checksum_mismatch_rejected(tmp_path, tiny_config, capsys, flipped):
     csv_path = tmp_path / "events.csv"
     write_events(csv_path)
     bundle = tmp_path / "x.bundle"
     main(["ingest", "--input", str(csv_path), "--out", str(bundle)])
-    blob = bytearray(bundle.read_bytes())
+    run = tmp_path / "run"
+    assert main(["train", "--bundle", str(bundle), "--config",
+                 str(tiny_config), "--seed", "3", "--out", str(run)]) == 0
+    target = tmp_path / flipped
+    blob = bytearray(target.read_bytes())
     blob[-1] ^= 0xFF
-    bundle.write_bytes(blob)
-    out = tmp_path / "report.json"
-    code = main(["evaluate", "--bundle", str(bundle), "--edgebank",
-                 "--seed", "1", "--q", "5", "--out", str(out)])
+    target.write_bytes(blob)
+    capsys.readouterr()
+    out = run / "report.json"
+    code = main(["evaluate", "--bundle", str(bundle), "--model",
+                 str(run / "model.bin"), "--config", str(tiny_config),
+                 "--split", "val", "--seed", "3", "--q", "5",
+                 "--out", str(out)])
     assert code == 1
-    assert "checksum" in capsys.readouterr().err
+    assert f"error: {target}: checksum mismatch" in capsys.readouterr().err
     assert not out.exists()  # no partial artifacts on failure
+
+
+def test_other_container_is_not_a_bundle(tmp_path, tiny_config, capsys):
+    csv_path = tmp_path / "events.csv"
+    write_events(csv_path)
+    bundle = tmp_path / "x.bundle"
+    main(["ingest", "--input", str(csv_path), "--out", str(bundle)])
+    run = tmp_path / "run"
+    assert main(["train", "--bundle", str(bundle), "--config",
+                 str(tiny_config), "--seed", "3", "--out", str(run)]) == 0
+    code = main(["evaluate", "--bundle", str(run / "model.bin"), "--edgebank",
+                 "--seed", "3", "--q", "5", "--out", str(tmp_path / "r.json")])
+    assert code == 1
+    assert (f"error: {run / 'model.bin'}: not an event bundle"
+            in capsys.readouterr().err)
+
+
+def test_unreadable_bundle_path_is_an_error_line(tmp_path, capsys):
+    code = main(["train", "--bundle", str(tmp_path), "--seed", "1",
+                 "--out", str(tmp_path / "run")])
+    assert code == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and str(tmp_path) in err
 
 
 def test_stale_negative_cache_rejected(tmp_path, capsys):
@@ -236,13 +268,11 @@ def test_checkpoint_bytes_do_not_depend_on_bundle_path(tmp_path, tiny_config):
     write_events(csv_path)
     bundle = tmp_path / "x.bundle"
     main(["ingest", "--input", str(csv_path), "--out", str(bundle)])
-    sidecar = Path(str(bundle) + META_SUFFIX)
     digests = []
     for where in ("a", "b/c"):
         copy = tmp_path / where / "copy.bundle"
         copy.parent.mkdir(parents=True)
         shutil.copy(bundle, copy)
-        shutil.copy(sidecar, str(copy) + META_SUFFIX)
         run = tmp_path / where / "run"
         assert main(["train", "--bundle", str(copy), "--config",
                      str(tiny_config), "--seed", "11", "--out",
@@ -251,7 +281,7 @@ def test_checkpoint_bytes_do_not_depend_on_bundle_path(tmp_path, tiny_config):
                        .hexdigest())
     assert digests[0] == digests[1]
     _, meta = load_arrays(run / "model.bin")
-    assert meta["extra"]["bundle_sha256"] == bundle_sha256(bundle)
+    assert meta["extra"]["bundle_sha256"] == read_digest(bundle)
 
 
 def test_edgebank_evaluation(tmp_path):

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from oracles import LinearScanOracle, random_graph
-from tempolink.array_io import load_arrays, save_arrays
+from tempolink.array_io import load_arrays, read_digest, save_arrays
 from tempolink.data import (
     SplitSpec,
     assemble_batch,
@@ -254,6 +254,24 @@ def test_truncated_container_names_file_and_array(cut_dir, spec, meta):
             offset += size
         assert msg == (f"{path}: truncated: array {name!r} needs {size} bytes, "
                        f"file holds {cut - offset}")
+
+
+@settings(max_examples=10, deadline=None)
+@given(spec=_arrays, meta=st.dictionaries(st.text(max_size=3), st.integers(),
+                                           max_size=2))
+def test_every_bit_flip_names_file(cut_dir, spec, meta):
+    arrays = {name: np.arange(int(np.prod(shape)), dtype=dt).reshape(shape)
+              for name, (dt, shape) in spec.items()}
+    path = cut_dir / "f.bin"
+    assert save_arrays(path, arrays, meta=meta) == read_digest(path)
+    blob = path.read_bytes()
+    for bit in range(8 * len(blob)):  # magic, length, digest, header, arrays
+        flipped = bytearray(blob)
+        flipped[bit // 8] ^= 1 << (bit % 8)
+        path.write_bytes(flipped)
+        with pytest.raises(ValueError) as e:
+            load_arrays(path)
+        assert str(e.value).startswith(f"{path}: ")
 
 
 # -- batch assembly --------------------------------------------------------------
