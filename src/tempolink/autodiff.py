@@ -13,6 +13,9 @@ computes in float32 end to end and float64 stays float64 (run float64
 when verifying against finite differences, float32 when training).
 Constants inside an op are cast to the operand's dtype for that reason:
 numpy promotes float32 combined with a numpy float64 scalar to float64.
+The two dtypes share every formula but GELU's: float64 evaluates the
+exact erf (scipy), float32 a fused rational erf whose GELU is within
+2.6e-7 * max(1, |x|) of the float64 one (see `_gelu32`).
 Inside `no_grad()` no graph is recorded, for forward passes that never
 call backward().
 """
@@ -58,6 +61,68 @@ def _reduce_to(g, shape):
     if axes:
         g = g.sum(axis=axes, keepdims=True)
     return g.reshape(shape)
+
+
+# float32 erf(z) on [-4, 4] is an odd degree-13 polynomial over an even
+# degree-8 one (the rational form Eigen and XLA use); beyond |z| = 4 erf is
+# +-1 in float32, and this form gives exactly +-1 at the clamp. The
+# numerator is pre-halved, so the quotient is erf / 2 with the same
+# roundings: scaling by a power of two is exact.
+_HALF_ERF_NUM = (0.5 * np.array([
+    -2.72614225801306e-10, 2.77068142495902e-08, -2.10102402082508e-06,
+    -5.69250639462346e-05, -7.34990630326855e-04, -2.95459980854025e-03,
+    -1.60960333262415e-02])).astype(np.float32)  # z^13 .. z^1
+_ERF_DEN = np.array([
+    -1.45660718464996e-05, -2.13374055278905e-04, -1.68282697438203e-03,
+    -7.37332916720468e-03, -1.42647390514189e-02], dtype=np.float32)  # z^8 .. z^0
+_SQRT_HALF = np.float32(np.sqrt(0.5))
+_INV_SQRT_2PI = np.float32(1.0 / np.sqrt(2.0 * np.pi))
+GELU_CHUNK = 1 << 15  # elements per pass; the four scratch rows stay in cache
+
+
+def _horner(coefs, z2, out):
+    """out = polynomial in z2 with `coefs` highest power first, in place."""
+    np.multiply(z2, coefs[0], out=out)
+    for c in coefs[1:-1]:
+        out += c
+        out *= z2
+    out += coefs[-1]
+
+
+def _gelu32(x, g=None):
+    """x * Phi(x) for float32 x, or with `g` the gradient g * (Phi + x * phi).
+
+    Runs in GELU_CHUNK pieces with in-place ops, so the only full-size
+    arrays are the input(s) and the result. Every element goes through the
+    same ops whatever its position, so results do not depend on chunking.
+    """
+    xf = np.ascontiguousarray(x).reshape(-1)
+    gf = None if g is None else np.ascontiguousarray(g).reshape(-1)
+    out = np.empty_like(xf)
+    z, z2, num, den = np.empty((4, min(xf.size, GELU_CHUNK)), dtype=np.float32)
+    for lo in range(0, xf.size, GELU_CHUNK):
+        hi = min(lo + GELU_CHUNK, xf.size)
+        n = hi - lo
+        xc, zc, z2c, pc, qc = xf[lo:hi], z[:n], z2[:n], num[:n], den[:n]
+        np.multiply(xc, _SQRT_HALF, out=zc)
+        np.clip(zc, -4.0, 4.0, out=zc)
+        np.multiply(zc, zc, out=z2c)
+        _horner(_HALF_ERF_NUM, z2c, pc)
+        pc *= zc
+        _horner(_ERF_DEN, z2c, qc)
+        pc /= qc  # erf(x / sqrt 2) / 2
+        pc += 0.5  # Phi(x)
+        if gf is None:
+            np.multiply(xc, pc, out=out[lo:hi])
+            continue
+        np.multiply(xc, xc, out=qc)
+        qc *= -0.5
+        np.exp(qc, out=qc)
+        qc *= _INV_SQRT_2PI
+        qc *= xc  # x * phi(x)
+        qc += pc
+        np.multiply(gf[lo:hi], qc, out=out[lo:hi])
+    return out.reshape(x.shape)
 
 
 class Tensor:
@@ -145,9 +210,21 @@ class Tensor:
         return self + (-_wrap(other, self.dtype))
 
     def matmul(self, other):
-        # batched: leading dims broadcast, last two are the matrix dims
         a, b = self.data, other.data
+        if a.ndim > 2 and b.ndim == 2:
+            # [..., n] @ [n, m] (a dense layer) runs as one [rows, n] GEMM;
+            # the weight gradient is one GEMM too, with no [..., n, m]
+            # temporary to sum down
+            def bw(g):
+                g2 = g.reshape(-1, g.shape[-1])
+                self._accum((g2 @ b.T).reshape(a.shape))
+                other._accum(a.reshape(-1, a.shape[-1]).T @ g2)
 
+            out = a.reshape(-1, a.shape[-1]) @ b
+            return Tensor(out.reshape(a.shape[:-1] + b.shape[1:]),
+                          _parents=(self, other), _backward=bw)
+
+        # batched: leading dims broadcast, last two are the matrix dims
         def bw(g):
             self._accum(_reduce_to(g @ b.swapaxes(-1, -2), self.shape))
             other._accum(_reduce_to(a.swapaxes(-1, -2) @ g, other.shape))
@@ -195,14 +272,20 @@ class Tensor:
 
     def gelu(self):
         x = self.data
-        c = x.dtype.type  # a float64 scalar would promote float32 x
-        cdf = 0.5 * (1.0 + special.erf(x / c(np.sqrt(2.0))))
+        if x.dtype == np.float32:
+            def bw(g):
+                self._accum(_gelu32(x, g))
 
-        def bw(g):
-            pdf = np.exp(-0.5 * x * x) / c(np.sqrt(2.0 * np.pi))
-            self._accum(g * (cdf + x * pdf))
+            return Tensor(_gelu32(x), _parents=(self,), _backward=bw)
 
-        return Tensor(x * cdf, _parents=(self,), _backward=bw)
+        def cdf():
+            return 0.5 * (1.0 + special.erf(x / np.sqrt(2.0)))
+
+        def bw(g):  # recomputes the cdf rather than keeping it alive
+            pdf = np.exp(-0.5 * x * x) / np.sqrt(2.0 * np.pi)
+            self._accum(g * (cdf() + x * pdf))
+
+        return Tensor(x * cdf(), _parents=(self,), _backward=bw)
 
     def sigmoid(self):
         s = special.expit(self.data)

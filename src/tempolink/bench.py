@@ -12,6 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .autodiff import no_grad
 from .data import assemble_batch
 from .model import Model, ModelConfig
 from .store import build_index
@@ -96,7 +97,8 @@ def bench_scoring(q_grid=(128, 256, 512, 1024, 2048), k=8, dim=16, B=8,
     """Forward scoring time as the candidate count grows, k and dim fixed.
 
     Small k keeps the per-candidate term dominant, so measured time should
-    scale close to linearly in q.
+    scale close to linearly in q. The forward runs under `no_grad()`, as
+    every ranking path does.
     """
     if k < 1:
         raise ValueError(f"k must be >= 1, got {k}")
@@ -117,8 +119,9 @@ def bench_scoring(q_grid=(128, 256, 512, 1024, 2048), k=8, dim=16, B=8,
     for q in q_grid:
         cand = rng.integers(0, n_nodes, (B, 1 + q))
         batch = assemble_batch(index, q_src, q_t, cand, k)
-        mean, p50, p95 = time_callable(lambda: model.score(batch),
-                                       repeats=repeats)
+        with no_grad():
+            mean, p50, p95 = time_callable(lambda: model.score(batch),
+                                           repeats=repeats)
         rows.append(BenchRow("scoring_candidates", float(q), mean, p50, p95,
                              repeats))
     return rows

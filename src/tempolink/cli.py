@@ -146,7 +146,6 @@ def cmd_train(args):
     })
     rep = evaluate(model, run.index, run.src, run.dst, run.t,
                    run.splits.slices()["val"], val_negs,
-                   batch_size=run.tcfg.batch_size,
                    config={"split": "val", "seed": args.seed, "q": run.q_eval})
     rep.save(out / "val_report.json")
     print(f"trained {len(history)} epochs, best val MRR {best:.4f}, "

@@ -76,13 +76,17 @@ def _rank(sl, dst, negs, batch_size, score_chunk, config):
     )
 
 
-def evaluate(model, index, src, dst, t, sl, negs, batch_size=200, config=None):
+def evaluate(model, index, src, dst, t, sl, negs, batch_size=100, config=None):
     """MRR of a model over eval rows `sl` with per-row negatives `negs`.
 
     Rows whose source has no history are skipped and reported, not scored.
     Scores are computed in eval mode (dropout off), so the result is a
     pure function of parameters and inputs regardless of batch size. No
     autodiff graph is recorded while scoring.
+
+    At q = 100 a 100-row chunk is about 10k candidates: its FFN hidden
+    layer (10 MB with the UCI model) halves the transient memory of 200
+    rows and ranks faster, since the working set stays closer to cache.
     """
     def score_chunk(chunk, cand):
         batch = assemble_batch(index, src[chunk], t[chunk], cand, model.cfg.k)

@@ -1,12 +1,23 @@
 """Autodiff primitives against hand-computed adjoints and finite differences."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from scipy import special
 
 from oracles import scatter_add_loop
 from tempolink import kernels
-from tempolink.autodiff import Tensor, concat, dropout, gather_rows, grad_check, no_grad
+from tempolink.autodiff import (
+    GELU_CHUNK,
+    Tensor,
+    _reduce_to,
+    concat,
+    dropout,
+    gather_rows,
+    grad_check,
+    no_grad,
+)
 from tempolink.optim import Adam
 
 TOL = 1e-6  # per-primitive gradient agreement, float64
@@ -29,6 +40,49 @@ def test_matmul_forward_matches_loop_dot():
             for k in range(4):
                 want[i, j] += a[i, k] * b[k, j]
     np.testing.assert_allclose(got, want, rtol=1e-12)
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize("shape", [(6, 9, 5), (2, 3, 4, 5)])
+@pytest.mark.parametrize("transposed", [False, True])
+def test_dense_matmul_forward_matches_numpy_bitwise(dtype, shape, transposed):
+    rng = np.random.default_rng(7)
+    a = rng.standard_normal(shape[::-1] if transposed else shape).astype(dtype)
+    if transposed:
+        a = a.T  # same shape, not contiguous
+    w = rng.standard_normal((shape[-1], 11)).astype(dtype)
+    got = (Tensor(a) @ Tensor(w)).data
+    assert got.dtype == dtype
+    assert got.tobytes() == np.matmul(a, w).tobytes()
+
+
+def test_dense_matmul_gradients_are_single_gemms():
+    rng = np.random.default_rng(8)
+    a = Tensor(rng.standard_normal((4, 6, 5)).astype(np.float32), requires_grad=True)
+    w = Tensor(rng.standard_normal((5, 3)).astype(np.float32), requires_grad=True)
+    seed = rng.standard_normal((4, 6, 3)).astype(np.float32)
+    (a @ w).backward(seed=seed)
+    g2, a2 = seed.reshape(-1, 3), a.data.reshape(-1, 5)
+    assert a.grad.tobytes() == (g2 @ w.data.T).reshape(a.shape).tobytes()
+    assert w.grad.tobytes() == (a2.T @ g2).tobytes()
+
+
+@pytest.mark.parametrize("a_shape,b_shape", [
+    ((4, 5), (5, 3)),              # 2-D @ 2-D
+    ((2, 3, 4, 5), (2, 3, 5, 6)),  # batched @ batched
+    ((2, 1, 4, 5), (3, 5, 6)),     # batched, broadcast leading dims
+])
+def test_other_matmuls_keep_the_batched_adjoint(a_shape, b_shape):
+    rng = np.random.default_rng(9)
+    a = Tensor(rng.standard_normal(a_shape), requires_grad=True)
+    b = Tensor(rng.standard_normal(b_shape), requires_grad=True)
+    out = a @ b
+    seed = rng.standard_normal(out.shape)
+    out.backward(seed=seed)
+    want_a = _reduce_to(seed @ b.data.swapaxes(-1, -2), a_shape)
+    want_b = _reduce_to(a.data.swapaxes(-1, -2) @ seed, b_shape)
+    assert a.grad.tobytes() == want_a.tobytes()
+    assert b.grad.tobytes() == want_b.tobytes()
 
 
 def test_softmax_rows_values():
@@ -58,6 +112,80 @@ def test_gelu_keeps_dtype(dtype):
     if dtype == np.float64:  # the float64 result is the plain formula, bitwise
         want = x.data * (0.5 * (1.0 + special.erf(x.data / np.sqrt(2.0))))
         assert y.data.tobytes() == want.tobytes()
+
+
+def gelu64(x):
+    """The exact formula in float64, value and derivative."""
+    x = np.asarray(x, dtype=np.float64)
+    cdf = 0.5 * (1.0 + special.erf(x / np.sqrt(2.0)))
+    return x * cdf, cdf + x * np.exp(-0.5 * x * x) / np.sqrt(2.0 * np.pi)
+
+
+def gelu_and_grad(x):
+    t = Tensor(x, requires_grad=True)
+    y = t.gelu()
+    y.backward(seed=np.ones_like(x))
+    return y.data, t.grad
+
+
+def test_gelu_float32_error_bound():
+    x = np.linspace(-8, 8, 400_001, dtype=np.float32)
+    got = Tensor(x).gelu().data
+    want, _ = gelu64(x)
+    err = np.abs(got - want) / np.maximum(1.0, np.abs(x.astype(np.float64)))
+    assert err.max() <= 3e-7
+
+
+def test_gelu_float32_gradient_matches_float64():
+    x = np.linspace(-8, 8, 40_001, dtype=np.float32)
+    _, g32 = gelu_and_grad(x)
+    _, g64 = gelu_and_grad(x.astype(np.float64))
+    assert g32.dtype == np.float32
+    # atol covers the derivative's zero crossing near x = -0.75, where a
+    # relative bound alone would ask for more than float32 carries
+    np.testing.assert_allclose(g32, g64, rtol=1e-5, atol=1e-6)
+
+
+@pytest.mark.parametrize("shape", [
+    (0,), (1,), (GELU_CHUNK - 1,), (GELU_CHUNK,), (GELU_CHUNK + 1,),
+    (3, 5, 7), "transposed",
+], ids=["0", "1", "chunk-1", "chunk", "chunk+1", "3d", "transposed"])
+def test_gelu_float32_chunking_does_not_change_results(shape):
+    rng = np.random.default_rng(5)
+    if shape == "transposed":
+        x = (rng.standard_normal((300, 250)) * 3).astype(np.float32).T
+        assert not x.flags.c_contiguous
+    else:
+        x = (rng.standard_normal(shape) * 3).astype(np.float32)
+    y, g = gelu_and_grad(x)
+    assert y.shape == g.shape == x.shape
+    flat = np.ravel(x)
+    picks = set(rng.integers(0, max(flat.size, 1), 64).tolist())
+    picks |= {0, GELU_CHUNK - 1, GELU_CHUNK, flat.size - 1}
+    for i in sorted(p for p in picks if 0 <= p < flat.size):
+        yi, gi = gelu_and_grad(flat[i:i + 1])
+        assert yi.tobytes() == np.ravel(y)[i:i + 1].tobytes()
+        assert gi.tobytes() == np.ravel(g)[i:i + 1].tobytes()
+
+
+def test_gelu_float32_saturates_and_propagates_nan():
+    y, g = gelu_and_grad(np.array([1e4, -1e4, np.nan, 1.0], dtype=np.float32))
+    assert y[0] == 1e4 and y[1] == 0.0
+    assert g[0] == 1.0 and g[1] == 0.0
+    assert np.isnan(y[2]) and np.isnan(g[2])
+    assert np.isfinite(y[3]) and np.isfinite(g[3])
+
+
+def test_gelu_float32_peak_memory_is_its_output():
+    x = np.random.default_rng(6).standard_normal(4_000_000).astype(np.float32)
+    with no_grad():
+        tracemalloc.start()
+        try:
+            out = Tensor(x).gelu().data
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+    assert peak <= out.nbytes + 2**20
 
 
 def test_dtype_contract_rejects_promotion():
@@ -160,11 +288,19 @@ def test_primitive_gradients_against_central_differences():
     b = t64(rng, 6, 3)
     c = t64(rng, 2, 4, 3)
     d = t64(rng, 5)
+    e = t64(rng, 2, 3, 2, 6)
+    f = t64(rng, 5, 1, 6)
     cases = {
         "matmul": (lambda: ((a @ b) * (a @ b)).sum(), {"a": a, "b": b}),
         "batched_matmul": (
             lambda: (c.transpose(0, 2, 1) @ (a @ b)).softplus().sum(),
             {"a": a, "b": b, "c": c},
+        ),
+        "dense_4d_matmul": (
+            lambda: (e @ b).gelu().sum(), {"e": e, "b": b},
+        ),
+        "dense_single_row_matmul": (
+            lambda: ((f @ b) * (f @ b)).sum(), {"f": f, "b": b},
         ),
         "softmax": (lambda: ((a @ b).softmax_rows() * c.sum(axis=0)).sum(), {"a": a}),
         "gelu": (lambda: a.gelu().sum(), {"a": a}),

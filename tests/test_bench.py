@@ -17,6 +17,7 @@ from tempolink.bench import (
     time_callable,
     write_csv,
 )
+from tempolink.model import Model
 
 
 def test_zero_k_rejected():
@@ -74,6 +75,20 @@ def test_scoring_bench_small_grid():
     assert [r.value for r in rows] == [8.0, 32.0]
     slope = scoring_slope(rows)
     assert -0.5 < slope < 2.0  # tiny grid: only sanity, the real check is wider
+
+
+def test_scoring_bench_times_forward_without_graph(monkeypatch):
+    recorded = []
+    score = Model.score
+
+    def spy(self, batch, *args, **kwargs):
+        out = score(self, batch, *args, **kwargs)
+        recorded.append(out._backward is not None)
+        return out
+
+    monkeypatch.setattr(Model, "score", spy)
+    bench_scoring(q_grid=(8,), k=4, dim=16, B=4, repeats=2)
+    assert recorded and not any(recorded)
 
 
 def test_candidate_cost_model_is_linear_in_q():
