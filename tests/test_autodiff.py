@@ -115,10 +115,9 @@ def test_gelu_keeps_dtype(dtype):
 
 
 def gelu64(x):
-    """The exact formula in float64, value and derivative."""
+    """The exact formula, in float64."""
     x = np.asarray(x, dtype=np.float64)
-    cdf = 0.5 * (1.0 + special.erf(x / np.sqrt(2.0)))
-    return x * cdf, cdf + x * np.exp(-0.5 * x * x) / np.sqrt(2.0 * np.pi)
+    return x * (0.5 * (1.0 + special.erf(x / np.sqrt(2.0))))
 
 
 def gelu_and_grad(x):
@@ -131,7 +130,7 @@ def gelu_and_grad(x):
 def test_gelu_float32_error_bound():
     x = np.linspace(-8, 8, 400_001, dtype=np.float32)
     got = Tensor(x).gelu().data
-    want, _ = gelu64(x)
+    want = gelu64(x)
     err = np.abs(got - want) / np.maximum(1.0, np.abs(x.astype(np.float64)))
     assert err.max() <= 3e-7
 
