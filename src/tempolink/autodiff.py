@@ -211,10 +211,10 @@ class Tensor:
 
     def matmul(self, other):
         a, b = self.data, other.data
-        if a.ndim > 2 and b.ndim == 2:
-            # [..., n] @ [n, m] (a dense layer) runs as one [rows, n] GEMM;
-            # the weight gradient is one GEMM too, with no [..., n, m]
-            # temporary to sum down
+        if b.ndim == 2:
+            # [..., n] @ [n, m] (a dense layer, or a plain 2-D product) runs
+            # as one [rows, n] GEMM; the weight gradient is one GEMM too,
+            # with no [..., n, m] temporary to sum down
             def bw(g):
                 g2 = g.reshape(-1, g.shape[-1])
                 self._accum((g2 @ b.T).reshape(a.shape))
@@ -224,7 +224,7 @@ class Tensor:
             return Tensor(out.reshape(a.shape[:-1] + b.shape[1:]),
                           _parents=(self, other), _backward=bw)
 
-        # batched: leading dims broadcast, last two are the matrix dims
+        # batched weight: leading dims broadcast, last two are the matrix dims
         def bw(g):
             self._accum(_reduce_to(g @ b.swapaxes(-1, -2), self.shape))
             other._accum(_reduce_to(a.swapaxes(-1, -2) @ g, other.shape))

@@ -2,8 +2,7 @@
 
 Two claims get measured: history extraction is logarithmic in node degree
 (binary search over the index's sorted keys), and scoring cost grows
-linearly with the number of candidates. A third table contrasts the
-measured scoring times with the analytic per-candidate operation count.
+linearly with the number of candidates.
 """
 
 import csv
@@ -125,11 +124,6 @@ def bench_scoring(q_grid=(128, 256, 512, 1024, 2048), k=8, dim=16, B=8,
         rows.append(BenchRow("scoring_candidates", float(q), mean, p50, p95,
                              repeats))
     return rows
-
-
-def candidate_cost_model(q_grid, k, dim):
-    """Analytic op count per query: (1+q)k*dim attention + (1+q)dim^2 maps."""
-    return [float((1 + q) * k * dim + (1 + q) * dim * dim) for q in q_grid]
 
 
 def extraction_ratio(rows):

@@ -34,7 +34,7 @@ from .data import (
 )
 from .dataset import ingest, load_bundle
 from .evaluate import evaluate, evaluate_edgebank
-from .model import Model, ModelConfig
+from .model import Model, ModelConfig, require_int
 from .store import build_index
 from .trainer import TrainConfig, load_checkpoint, save_checkpoint, train
 
@@ -51,10 +51,10 @@ def load_config(path):
 
 
 def _section(raw, name, cls, **fixed):
-    """Build `cls` from the config section `name`; a bad key is a ValueError."""
+    """Build `cls` from config section `name`; a bad key or value is a ValueError."""
     try:
         return cls(**fixed, **raw.get(name, {}))
-    except TypeError as e:
+    except (TypeError, ValueError) as e:
         raise ValueError(f"bad {name} config: {e}") from None
 
 
@@ -65,7 +65,7 @@ def _load(args):
     spec = _section(raw, "split", SplitSpec)
     return SimpleNamespace(
         src=src, dst=dst, t=t, meta=meta, spec=spec,
-        q_eval=int(raw.get("q_eval", 100)),
+        q_eval=require_int("q_eval", raw.get("q_eval", 100), 1),
         cfg=_section(raw, "model", ModelConfig, num_nodes=meta.num_nodes),
         tcfg=_section(raw, "train", TrainConfig),
         bundle_sha256=read_digest(args.bundle),
@@ -86,6 +86,8 @@ def _negatives(run, out_dir, split, q, seed):
     sl = run.splits.slices()[split]
     path = Path(out_dir) / f"negatives_{split}_seed{seed}_q{q}.bin"
     key = {
+        "seed": seed,
+        "q": q,
         "bundle_sha256": run.bundle_sha256,
         "start": int(sl.start),
         "stop": int(sl.stop),
@@ -93,10 +95,10 @@ def _negatives(run, out_dir, split, q, seed):
             np.ascontiguousarray(run.pool, dtype=np.int64).tobytes()).hexdigest(),
     }
     if path.exists():
-        return load_negatives(path, expect_seed=seed, expect_q=q, **key)
+        return load_negatives(path, **key)
     negs = eval_negatives(run.src, run.dst, run.t, sl, run.pool, q, seed,
                           run.meta.bipartite)
-    save_negatives(path, negs, seed, q, **key)
+    save_negatives(path, negs, **key)
     return negs
 
 
@@ -169,10 +171,11 @@ def cmd_evaluate(args):
                 f"nodes, bundle {args.bundle} has {run.meta.num_nodes}"
             )
 
-    negs = _negatives(run, out.parent, args.split, args.q, args.seed)
+    q = run.q_eval if args.q is None else require_int("--q", args.q, 1)
+    negs = _negatives(run, out.parent, args.split, q, args.seed)
     sl = run.splits.slices()[args.split]
     config = {"scorer": "edgebank" if args.edgebank else "model",
-              "split": args.split, "seed": args.seed, "q": args.q}
+              "split": args.split, "seed": args.seed, "q": q}
     if args.edgebank:
         rep = evaluate_edgebank(run.index, run.src, run.dst, run.t, sl, negs,
                                 config=config)
@@ -251,7 +254,8 @@ def build_parser():
     sp.add_argument("--config")
     sp.add_argument("--split", choices=["val", "test"], default="test")
     sp.add_argument("--seed", type=int, required=True)
-    sp.add_argument("--q", type=int, default=100)
+    sp.add_argument("--q", type=int,
+                    help="negatives per query (default: the config's q_eval)")
     sp.add_argument("--edgebank", action="store_true",
                     help="score with the memorization baseline instead")
     sp.add_argument("--out", required=True)

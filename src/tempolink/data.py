@@ -85,16 +85,13 @@ def same_time_partners(src, dst, t, rows=None):
     return table
 
 
-def sample_negatives(pool, excluded, q, rng, pool_set=None):
+def sample_negatives(pool, pool_set, excluded, q, rng):
     """Draw q distinct ids uniformly from pool minus excluded.
 
-    Rejection sampling against a hash set; falls back to an explicit
-    eligible-array draw when the pool is too tight for rejection to
-    terminate quickly. Pass a precomputed set(pool) as `pool_set` when
-    calling in a loop.
+    `pool_set` is set(pool), built once by the caller. Rejection sampling
+    against it; falls back to an explicit eligible-array draw when the
+    pool is too tight for rejection to terminate quickly.
     """
-    if pool_set is None:
-        pool_set = set(pool.tolist())
     excl = {int(x) for x in excluded} & pool_set
     n_eligible = len(pool_set) - len(excl)
     if n_eligible < q:
@@ -135,27 +132,26 @@ def eval_negatives(src, dst, t, sl, pool, q, seed, bipartite=False):
         if not bipartite:
             excluded.append(s)
         rng = rng_for(seed, "eval-neg", i)
-        out[j] = sample_negatives(pool, excluded, q, rng, pool_set=pool_set)
+        out[j] = sample_negatives(pool, pool_set, excluded, q, rng)
     return out
 
 
-def save_negatives(path, negs, seed, q, **key):
-    """Write eval negatives; `key` adds JSON fields naming the other inputs."""
-    save_arrays(path, {"negatives": negs},
-                meta={"seed": int(seed), "q": int(q), **key})
+def save_negatives(path, negs, **key):
+    """Write eval negatives; `key` holds JSON fields naming their inputs."""
+    save_arrays(path, {"negatives": negs}, meta=key)
 
 
-def load_negatives(path, expect_seed=None, expect_q=None, **key):
+def load_negatives(path, **key):
     """Read cached negatives, checking every given field against the cache's.
 
-    A stale cache, built from another bundle, split or pool, raises
-    ValueError naming the file and the first field that differs. When the
-    cache records its rows' `start` and `stop`, it must hold that many rows.
+    A stale cache, built from another seed, q, bundle, split or pool,
+    raises ValueError naming the file and the first field that differs.
+    When the cache records its rows' `start` and `stop`, it must hold
+    that many rows.
     """
     arrays, meta = load_arrays(path)
-    want = {"seed": expect_seed, "q": expect_q, **key}
-    for field, value in want.items():
-        if value is not None and meta.get(field) != value:
+    for field, value in key.items():
+        if meta.get(field) != value:
             raise ValueError(
                 f"{path}: negative cache has {field}={meta.get(field)!r}, "
                 f"wanted {field}={value!r}"
@@ -208,7 +204,7 @@ def train_negatives(src, dst, t, train_end, pool, seed, epoch, bipartite=False):
         if not bipartite:
             excluded.add(int(s_tr[i]))
         if int(out[i]) in excluded:
-            out[i] = sample_negatives(pool, excluded, 1, rng, pool_set=pool_set)[0]
+            out[i] = sample_negatives(pool, pool_set, excluded, 1, rng)[0]
     return out
 
 
@@ -242,6 +238,13 @@ class QueryBatch:
     skipped_cold: int        # queries dropped because the source had no history
 
 
+def pair_counts(index: NeighborIndex, src_q, t_q, cand):
+    """[B, C] int64: how often each source linked to each candidate before t."""
+    B, C = cand.shape
+    return index.repeat_count_batch(
+        np.repeat(src_q, C), cand.ravel(), np.repeat(t_q, C)).reshape(B, C)
+
+
 def assemble_batch(index: NeighborIndex, src_q, t_q, cand, k) -> Optional[QueryBatch]:
     """Gather histories and side features for queries; drop cold sources.
 
@@ -270,8 +273,7 @@ def assemble_batch(index: NeighborIndex, src_q, t_q, cand, k) -> Optional[QueryB
     last_t, has = index.last_activity_batch(flat_cand, flat_t)
     cand_dt = ((flat_t - last_t) * has).reshape(B, C)
     cand_dt_known = has.astype(np.int8).reshape(B, C)
-    flat_src = np.repeat(src_q, C)
-    cand_repeat = index.repeat_count_batch(flat_src, flat_cand, flat_t).reshape(B, C)
+    cand_repeat = pair_counts(index, src_q, t_q, cand)
 
     return QueryBatch(
         src=src_q, t=t_q, cand=cand,

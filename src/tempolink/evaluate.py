@@ -7,7 +7,7 @@ from dataclasses import asdict, dataclass, field
 import numpy as np
 
 from .autodiff import no_grad
-from .data import assemble_batch
+from .data import assemble_batch, pair_counts
 
 
 def rank_of_positive(scores):
@@ -100,11 +100,7 @@ def evaluate(model, index, src, dst, t, sl, negs, batch_size=100, config=None):
 
 def edgebank_scores(index, src_q, t_q, cand):
     """Memorization baseline: 1 when the pair was ever seen before, else 0."""
-    B, C = cand.shape
-    flat_src = np.repeat(np.ascontiguousarray(src_q, dtype=np.int64), C)
-    flat_t = np.repeat(np.ascontiguousarray(t_q, dtype=np.float64), C)
-    counts = index.repeat_count_batch(flat_src, cand.ravel(), flat_t)
-    return (counts.reshape(B, C) > 0).astype(np.float64)
+    return (pair_counts(index, src_q, t_q, cand) > 0).astype(np.float64)
 
 
 def evaluate_edgebank(index, src, dst, t, sl, negs, batch_size=2000, config=None):

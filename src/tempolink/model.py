@@ -24,6 +24,14 @@ from .data import QueryBatch, rng_for
 NEG_INF = -1e30  # additive mask; exp underflows to exactly 0 after the shift
 
 
+def require_int(name, value, lo):
+    """`value` when it is an integer >= lo; a ValueError naming `name` if not."""
+    is_int = isinstance(value, (int, np.integer)) and not isinstance(value, bool)
+    if not is_int or value < lo:
+        raise ValueError(f"{name} must be an integer >= {lo}, got {value!r}")
+    return value
+
+
 @dataclass(frozen=True)
 class ModelConfig:
     num_nodes: int
@@ -40,6 +48,13 @@ class ModelConfig:
     positional: str = "index"  # "index", "interval", or "none"
 
     def __post_init__(self):
+        for name, lo in (("num_nodes", 1), ("dim", 1), ("heads", 1), ("k", 1),
+                         ("ffn_mult", 1), ("layers", 0)):
+            require_int(name, getattr(self, name), lo)
+        for name in ("p_attn", "p_hidden", "p_emb"):
+            p = getattr(self, name)
+            if not 0.0 <= p < 1.0:
+                raise ValueError(f"{name} must be in [0, 1), got {p!r}")
         if self.dim % self.heads:
             raise ValueError(f"dim {self.dim} not divisible by heads {self.heads}")
         if self.positional not in ("index", "interval", "none"):
@@ -193,8 +208,6 @@ class Model:
         cfg, p = self.cfg, self.params
         if (batch.nbr_mask.sum(axis=1) == 0).any():
             raise ValueError("batch contains a fully padded history row")
-        if rng is None:
-            rng = np.random.default_rng(0)
         s, mask = self._neighbor_memory(batch, training, rng)
         h = gather_rows(p["emb"], batch.cand)
         h = dropout(h, cfg.p_emb, rng, training)
@@ -203,9 +216,10 @@ class Model:
         return h
 
     def score(self, batch: QueryBatch, training=False, rng=None):
-        """Scores [B, C]; higher means a likelier future link."""
-        if rng is None:
-            rng = np.random.default_rng(0)
+        """Scores [B, C]; higher means a likelier future link.
+
+        Training needs `rng`, the dropout stream; eval mode reads none.
+        """
         h = self.encode(batch, training, rng)
         return self._head(h, batch, training, rng)
 
@@ -215,11 +229,10 @@ class Model:
         Recomputes the forward pass up to the requested layer's softmax;
         meant for inspection and invariant checks, not training.
         """
-        rng = np.random.default_rng(0)
-        s, mask = self._neighbor_memory(batch, False, rng)
+        s, mask = self._neighbor_memory(batch, False, None)
         h = gather_rows(self.params["emb"], batch.cand)
         for lyr in range(layer):
-            h = self._attend(h, s, mask, lyr, False, rng)
+            h = self._attend(h, s, mask, lyr, False, None)
         return self._attention(h, s, mask, layer).data
 
     # -- persistence ----------------------------------------------------------

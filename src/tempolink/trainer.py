@@ -9,7 +9,7 @@ import numpy as np
 from .array_io import load_arrays, save_arrays
 from .data import assemble_batch, rng_for, shuffle_order, train_negatives
 from .evaluate import evaluate
-from .model import Model, ModelConfig, bce_loss, bpr_loss
+from .model import Model, ModelConfig, bce_loss, bpr_loss, require_int
 from .optim import Adam
 
 CHECKPOINT_KIND = "tempolink-model"
@@ -24,6 +24,10 @@ class TrainConfig:
     loss: str = "bpr"  # or "bce"
 
     def __post_init__(self):
+        for name, lo in (("batch_size", 1), ("max_epochs", 1), ("patience", 0)):
+            require_int(name, getattr(self, name), lo)
+        if not (np.isfinite(self.lr) and self.lr > 0):
+            raise ValueError(f"lr must be finite and > 0, got {self.lr!r}")
         if self.loss not in ("bpr", "bce"):
             raise ValueError(f"unknown loss {self.loss!r}")
 
@@ -65,16 +69,17 @@ def train_epoch(model, opt, index, src, dst, t, train_end, pool, seed, epoch,
     return (total / max(n_rows, 1)), skipped
 
 
-def train(model, index, src, dst, t, splits, pool, seed, tcfg=TrainConfig(),
-          val_negs=None, metrics_path=None, bipartite=False, log=None):
+def train(model, index, src, dst, t, splits, pool, seed, tcfg=TrainConfig(), *,
+          val_negs, metrics_path=None, bipartite=False, log=None):
     """Fit until validation MRR stops improving; restores the best epoch.
 
-    Writes one JSON line per epoch to metrics_path when given. Returns
-    (best_val_mrr, history list).
+    Every epoch ranks the validation rows against `val_negs`. Writes one
+    JSON line per epoch to metrics_path when given. Returns (best_val_mrr,
+    history list).
     """
     opt = Adam(model.params, lr=tcfg.lr)
     sl_val = splits.slices()["val"]
-    best_mrr, best_state, best_epoch = -1.0, None, -1
+    best_mrr, best_epoch = -1.0, -1  # any MRR beats -1: epoch 0 sets best_state
     history = []
     sink = open(metrics_path, "w") if metrics_path else None
     try:
@@ -84,10 +89,7 @@ def train(model, index, src, dst, t, splits, pool, seed, tcfg=TrainConfig(),
                 model, opt, index, src, dst, t, splits.train_end, pool,
                 seed, epoch, tcfg, bipartite,
             )
-            val_mrr = None
-            if val_negs is not None:
-                rep = evaluate(model, index, src, dst, t, sl_val, val_negs)
-                val_mrr = rep.mrr
+            val_mrr = evaluate(model, index, src, dst, t, sl_val, val_negs).mrr
             row = {
                 "epoch": epoch,
                 "train_loss": mean_loss,
@@ -100,10 +102,7 @@ def train(model, index, src, dst, t, splits, pool, seed, tcfg=TrainConfig(),
                 sink.write(json.dumps(row, sort_keys=True) + "\n")
                 sink.flush()
             if log:
-                log(f"epoch {epoch}: loss {mean_loss:.4f}"
-                    + (f" val_mrr {val_mrr:.4f}" if val_mrr is not None else ""))
-            if val_mrr is None:
-                continue
+                log(f"epoch {epoch}: loss {mean_loss:.4f} val_mrr {val_mrr:.4f}")
             if val_mrr > best_mrr:
                 best_mrr, best_epoch = val_mrr, epoch
                 best_state = {k: v.data.copy() for k, v in model.params.items()}
@@ -112,8 +111,7 @@ def train(model, index, src, dst, t, splits, pool, seed, tcfg=TrainConfig(),
     finally:
         if sink:
             sink.close()
-    if best_state is not None:
-        model.load_state(best_state)
+    model.load_state(best_state)
     return best_mrr, history
 
 

@@ -43,7 +43,7 @@ def test_matmul_forward_matches_loop_dot():
 
 
 @pytest.mark.parametrize("dtype", [np.float32, np.float64])
-@pytest.mark.parametrize("shape", [(6, 9, 5), (2, 3, 4, 5)])
+@pytest.mark.parametrize("shape", [(6, 9, 5), (2, 3, 4, 5), (4, 5)])
 @pytest.mark.parametrize("transposed", [False, True])
 def test_dense_matmul_forward_matches_numpy_bitwise(dtype, shape, transposed):
     rng = np.random.default_rng(7)
@@ -58,13 +58,16 @@ def test_dense_matmul_forward_matches_numpy_bitwise(dtype, shape, transposed):
 
 def test_dense_matmul_gradients_are_single_gemms():
     rng = np.random.default_rng(8)
-    a = Tensor(rng.standard_normal((4, 6, 5)).astype(np.float32), requires_grad=True)
-    w = Tensor(rng.standard_normal((5, 3)).astype(np.float32), requires_grad=True)
-    seed = rng.standard_normal((4, 6, 3)).astype(np.float32)
-    (a @ w).backward(seed=seed)
-    g2, a2 = seed.reshape(-1, 3), a.data.reshape(-1, 5)
-    assert a.grad.tobytes() == (g2 @ w.data.T).reshape(a.shape).tobytes()
-    assert w.grad.tobytes() == (a2.T @ g2).tobytes()
+    for a_shape in [(4, 6, 5), (4, 5)]:  # a dense layer; 2-D @ 2-D
+        a = Tensor(rng.standard_normal(a_shape).astype(np.float32),
+                   requires_grad=True)
+        w = Tensor(rng.standard_normal((5, 3)).astype(np.float32),
+                   requires_grad=True)
+        seed = rng.standard_normal(a_shape[:-1] + (3,)).astype(np.float32)
+        (a @ w).backward(seed=seed)
+        g2, a2 = seed.reshape(-1, 3), a.data.reshape(-1, 5)
+        assert a.grad.tobytes() == (g2 @ w.data.T).reshape(a.shape).tobytes()
+        assert w.grad.tobytes() == (a2.T @ g2).tobytes()
 
 
 @pytest.mark.parametrize("a_shape,b_shape", [

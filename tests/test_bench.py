@@ -10,7 +10,6 @@ from tempolink.bench import (
     CSV_COLUMNS,
     bench_extraction,
     bench_scoring,
-    candidate_cost_model,
     extraction_ratio,
     loglog_slope,
     scoring_slope,
@@ -90,7 +89,3 @@ def test_scoring_bench_times_forward_without_graph(monkeypatch):
     bench_scoring(q_grid=(8,), k=4, dim=16, B=4, repeats=2)
     assert recorded and not any(recorded)
 
-
-def test_candidate_cost_model_is_linear_in_q():
-    costs = candidate_cost_model([100, 200, 400], k=8, dim=32)
-    assert loglog_slope([100, 200, 400], costs) == pytest.approx(1.0, abs=0.02)

@@ -1,5 +1,6 @@
 """End-to-end command-line flows on a small synthetic dataset."""
 
+import copy
 import json
 import hashlib
 import shutil
@@ -9,7 +10,10 @@ import pytest
 
 from tempolink.array_io import load_arrays, read_digest
 from tempolink.cli import main
+from tempolink.data import assemble_batch
 from tempolink.dataset import ingest, load_bundle
+from tempolink.store import build_index
+from tempolink.trainer import load_checkpoint
 
 
 def write_events(path, n=400, n_nodes=14, seed=0, delimiter=","):
@@ -25,20 +29,30 @@ def write_events(path, n=400, n_nodes=14, seed=0, delimiter=","):
     return src, dst, t
 
 
+TINY = {
+    "model": {"dim": 16, "heads": 2, "layers": 1, "k": 4,
+              "p_attn": 0.1, "p_hidden": 0.1, "p_emb": 0.1,
+              "use_repeat": True},
+    "train": {"batch_size": 64, "lr": 5e-3, "max_epochs": 2,
+              "patience": 2},
+    "split": {"train_frac": 0.7, "val_frac": 0.15},
+    "q_eval": 5,
+}
+
+
 @pytest.fixture()
 def tiny_config(tmp_path):
-    cfg = {
-        "model": {"dim": 16, "heads": 2, "layers": 1, "k": 4,
-                  "p_attn": 0.1, "p_hidden": 0.1, "p_emb": 0.1,
-                  "use_repeat": True},
-        "train": {"batch_size": 64, "lr": 5e-3, "max_epochs": 2,
-                  "patience": 2},
-        "split": {"train_frac": 0.7, "val_frac": 0.15},
-        "q_eval": 5,
-    }
     path = tmp_path / "config.json"
-    path.write_text(json.dumps(cfg))
+    path.write_text(json.dumps(TINY))
     return path
+
+
+def make_bundle(tmp_path):
+    csv_path = tmp_path / "events.csv"
+    write_events(csv_path)
+    bundle = tmp_path / "x.bundle"
+    assert main(["ingest", "--input", str(csv_path), "--out", str(bundle)]) == 0
+    return bundle
 
 
 def test_ingest_is_idempotent_and_loadable(tmp_path):
@@ -353,3 +367,75 @@ def test_bad_config_key_rejected(tmp_path, capsys, section, key):
                  "--seed", "1", "--out", str(tmp_path / "run")])
     assert code == 1
     assert f"bad {section} config" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("section,key,value", [
+    ("model", "heads", 0), ("model", "dim", 0), ("model", "k", 0),
+    ("model", "ffn_mult", 0), ("model", "layers", -1),
+    ("model", "p_emb", 1.0), ("model", "p_attn", -0.1),
+    ("train", "batch_size", -5), ("train", "batch_size", 0),
+    ("train", "batch_size", 2.5),
+    ("train", "max_epochs", 0), ("train", "patience", -1),
+    ("train", "lr", -1), ("train", "lr", float("inf")),
+    (None, "q_eval", 0), (None, "q_eval", 2.5), (None, "--q", 0),
+])
+def test_out_of_range_value_is_an_error_line(tmp_path, capsys, section, key,
+                                             value):
+    bundle = make_bundle(tmp_path)
+    cfg = copy.deepcopy(TINY)
+    if section:
+        cfg[section][key] = value
+    elif key == "q_eval":
+        cfg["q_eval"] = value
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(cfg))
+    run = tmp_path / "run"
+    if key == "--q":
+        argv = ["evaluate", "--edgebank", "--q", str(value)]
+    else:
+        argv = ["train"]
+    capsys.readouterr()
+    code = main(argv + ["--bundle", str(bundle), "--config", str(path),
+                        "--seed", "1", "--out", str(run)])
+    assert code == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ")
+    assert f"{key} must be" in err and f"got {value!r}" in err
+    assert not run.exists()
+
+
+def test_evaluate_q_defaults_to_config_q_eval(tmp_path, tiny_config):
+    bundle = make_bundle(tmp_path)
+    out = tmp_path / "eval" / "report.json"
+    assert main(["evaluate", "--bundle", str(bundle), "--config",
+                 str(tiny_config), "--edgebank", "--seed", "3",
+                 "--out", str(out)]) == 0
+    assert (out.parent / "negatives_test_seed3_q5.bin").exists()
+    assert json.loads(out.read_text())["config"]["q"] == 5
+
+
+def test_double_precision_train_then_evaluate(tmp_path, tiny_config):
+    bundle = make_bundle(tmp_path)
+    run = tmp_path / "run"
+    assert main(["train", "--bundle", str(bundle), "--config",
+                 str(tiny_config), "--seed", "3", "--precision", "double",
+                 "--out", str(run)]) == 0
+    _, meta = load_arrays(run / "model.bin")
+    assert meta["dtype"] == "float64"
+    report = tmp_path / "report.json"
+    assert main(["evaluate", "--bundle", str(bundle), "--model",
+                 str(run / "model.bin"), "--config", str(tiny_config),
+                 "--split", "val", "--seed", "3", "--q", "5",
+                 "--out", str(report)]) == 0
+    # the same float64 model on the same negatives as training's last ranking
+    val = json.loads((run / "val_report.json").read_text())
+    assert json.loads(report.read_text())["mrr"] == val["mrr"]
+
+    model = load_checkpoint(run / "model.bin")
+    assert {p.dtype for p in model.params.values()} == {np.dtype(np.float64)}
+    src, dst, t, bmeta = load_bundle(bundle)
+    index = build_index(src, dst, t, bmeta.num_nodes)
+    rows = slice(300, 340)
+    batch = assemble_batch(index, src[rows], t[rows],
+                           np.stack([dst[rows], src[rows]], axis=1), model.cfg.k)
+    assert model.score(batch).dtype == np.float64

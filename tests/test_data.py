@@ -58,7 +58,7 @@ def test_sample_negatives_respects_exclusions():
     pool = np.arange(50, dtype=np.int64)
     rng = rng_for(0, "t")
     for _ in range(200):
-        neg = sample_negatives(pool, [3, 7, 11], 10, rng)
+        neg = sample_negatives(pool, set(pool.tolist()), [3, 7, 11], 10, rng)
         assert len(set(neg.tolist())) == 10
         assert not {3, 7, 11} & set(neg.tolist())
         assert (neg >= 0).all() and (neg < 50).all()
@@ -67,10 +67,11 @@ def test_sample_negatives_respects_exclusions():
 def test_sample_negatives_tight_pool_exact():
     pool = np.arange(12, dtype=np.int64)
     rng = rng_for(1, "t")
-    neg = sample_negatives(pool, [0, 1], 10, rng)
+    pool_set = set(pool.tolist())
+    neg = sample_negatives(pool, pool_set, [0, 1], 10, rng)
     assert sorted(neg.tolist()) == list(range(2, 12))
     with pytest.raises(ValueError, match="eligible"):
-        sample_negatives(pool, [0, 1, 2], 10, rng)
+        sample_negatives(pool, pool_set, [0, 1, 2], 10, rng)
 
 
 def test_sample_negatives_uniform():
@@ -81,8 +82,9 @@ def test_sample_negatives_uniform():
     q, reps = 5, 20000
     rng = rng_for(2, "uniformity")
     counts = np.zeros(50, dtype=np.int64)
+    pool_set = set(pool.tolist())
     for _ in range(reps):
-        counts[sample_negatives(pool, excluded, q, rng)] += 1
+        counts[sample_negatives(pool, pool_set, excluded, q, rng)] += 1
     assert counts[:5].sum() == 0
     p = q / 45
     sigma = np.sqrt(reps * p * (1 - p))
@@ -127,19 +129,18 @@ def test_negative_cache_roundtrip_and_seed_guard(tmp_path):
     negs = np.arange(60, dtype=np.int64).reshape(6, 10)
     p = tmp_path / "negs.bin"
     save_negatives(p, negs, seed=4, q=10)
-    np.testing.assert_array_equal(load_negatives(p, expect_seed=4, expect_q=10), negs)
+    np.testing.assert_array_equal(load_negatives(p, seed=4, q=10), negs)
     with pytest.raises(ValueError, match="seed"):
-        load_negatives(p, expect_seed=5)
+        load_negatives(p, seed=5)
     with pytest.raises(ValueError, match="q="):
-        load_negatives(p, expect_q=7)
+        load_negatives(p, q=7)
 
 
 def test_negative_cache_checks_key_fields_and_row_count(tmp_path):
     negs = np.zeros((6, 3), dtype=np.int64)
     p = tmp_path / "negs.bin"
     save_negatives(p, negs, seed=1, q=3, start=10, stop=16, bundle_sha256="ab")
-    load_negatives(p, expect_seed=1, expect_q=3, start=10, stop=16,
-                   bundle_sha256="ab")
+    load_negatives(p, seed=1, q=3, start=10, stop=16, bundle_sha256="ab")
     with pytest.raises(ValueError, match=f"{p}: .* has bundle_sha256='ab'"):
         load_negatives(p, bundle_sha256="cd")
     with pytest.raises(ValueError, match="has stop=16, wanted stop=17"):
