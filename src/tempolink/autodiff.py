@@ -15,9 +15,15 @@ Constants inside an op are cast to the operand's dtype for that reason:
 numpy promotes float32 combined with a numpy float64 scalar to float64.
 The two dtypes share every formula but GELU's: float64 evaluates the
 exact erf (scipy), float32 a fused rational erf whose GELU is within
-2.6e-7 * max(1, |x|) of the float64 one (see `_gelu32`).
+2.6e-7 * max(1, |x|) of the float64 one (see `_gelu`).
 Inside `no_grad()` no graph is recorded, for forward passes that never
 call backward().
+
+Two fused ops keep full-size temporaries down. `dense` adds its bias and
+residual in place into its GEMM's output, and under `no_grad()` applies
+GELU in place too. `Tensor.softmax_rows` scales, masks, shifts,
+exponentiates and normalises one new array in place. Neither writes into
+an input. Values and gradients are bitwise those of the composed ops.
 """
 
 import contextlib
@@ -89,8 +95,26 @@ def _horner(coefs, z2, out):
     out += coefs[-1]
 
 
-def _gelu32(x, g=None):
-    """x * Phi(x) for float32 x, or with `g` the gradient g * (Phi + x * phi).
+def _gelu(x, g=None, out=None):
+    """GELU x * Phi(x), or with `g` its gradient g * (Phi + x * phi).
+
+    float32 takes the fused rational erf (`_gelu32`), float64 the exact
+    one. `out`, which may be x itself, is a C-contiguous array of x's
+    shape that receives the result.
+    """
+    if x.dtype == np.float32:
+        return _gelu32(x, g, out)
+    cdf = special.erf(x / np.sqrt(2.0))
+    cdf += 1.0
+    cdf *= 0.5
+    if g is None:
+        return np.multiply(x, cdf, out=out)
+    cdf += x * (np.exp(-0.5 * x * x) / np.sqrt(2.0 * np.pi))
+    return np.multiply(g, cdf, out=out)
+
+
+def _gelu32(x, g=None, out=None):
+    """`_gelu` for float32 x.
 
     Runs in GELU_CHUNK pieces with in-place ops, so the only full-size
     arrays are the input(s) and the result. Every element goes through the
@@ -98,7 +122,7 @@ def _gelu32(x, g=None):
     """
     xf = np.ascontiguousarray(x).reshape(-1)
     gf = None if g is None else np.ascontiguousarray(g).reshape(-1)
-    out = np.empty_like(xf)
+    out = np.empty_like(xf) if out is None else out.reshape(-1, copy=False)
     z, z2, num, den = np.empty((4, min(xf.size, GELU_CHUNK)), dtype=np.float32)
     for lo in range(0, xf.size, GELU_CHUNK):
         hi = min(lo + GELU_CHUNK, xf.size)
@@ -212,17 +236,7 @@ class Tensor:
     def matmul(self, other):
         a, b = self.data, other.data
         if b.ndim == 2:
-            # [..., n] @ [n, m] (a dense layer, or a plain 2-D product) runs
-            # as one [rows, n] GEMM; the weight gradient is one GEMM too,
-            # with no [..., n, m] temporary to sum down
-            def bw(g):
-                g2 = g.reshape(-1, g.shape[-1])
-                self._accum((g2 @ b.T).reshape(a.shape))
-                other._accum(a.reshape(-1, a.shape[-1]).T @ g2)
-
-            out = a.reshape(-1, a.shape[-1]) @ b
-            return Tensor(out.reshape(a.shape[:-1] + b.shape[1:]),
-                          _parents=(self, other), _backward=bw)
+            return dense(self, other)
 
         # batched weight: leading dims broadcast, last two are the matrix dims
         def bw(g):
@@ -272,20 +286,11 @@ class Tensor:
 
     def gelu(self):
         x = self.data
-        if x.dtype == np.float32:
-            def bw(g):
-                self._accum(_gelu32(x, g))
 
-            return Tensor(_gelu32(x), _parents=(self,), _backward=bw)
+        def bw(g):  # recomputes Phi rather than keeping it alive
+            self._accum(_gelu(x, g))
 
-        def cdf():
-            return 0.5 * (1.0 + special.erf(x / np.sqrt(2.0)))
-
-        def bw(g):  # recomputes the cdf rather than keeping it alive
-            pdf = np.exp(-0.5 * x * x) / np.sqrt(2.0 * np.pi)
-            self._accum(g * (cdf() + x * pdf))
-
-        return Tensor(x * cdf(), _parents=(self,), _backward=bw)
+        return Tensor(_gelu(x), _parents=(self,), _backward=bw)
 
     def sigmoid(self):
         s = special.expit(self.data)
@@ -312,14 +317,25 @@ class Tensor:
 
         return Tensor(np.log(self.data), _parents=(self,), _backward=bw)
 
-    def softmax_rows(self):
-        """Softmax along the last axis, max-shifted for stability."""
-        z = self.data - self.data.max(axis=-1, keepdims=True)
-        e = np.exp(z)
-        y = e / e.sum(axis=-1, keepdims=True)
+    def softmax_rows(self, scale=1.0, bias=None):
+        """Softmax of `self * scale + bias` along the last axis, max-shifted.
+
+        `bias` is a constant array of this dtype (an additive mask, say)
+        that broadcasts to this shape; it gets no gradient. Every step runs
+        in place on one new array.
+        """
+        scale = np.asarray(scale, dtype=self.dtype)
+        y = self.data * scale
+        if bias is not None:
+            np.add(y, bias, out=y, casting="no")
+        y -= y.max(axis=-1, keepdims=True)
+        np.exp(y, out=y)
+        y /= y.sum(axis=-1, keepdims=True)
 
         def bw(g):
-            self._accum(y * (g - (g * y).sum(axis=-1, keepdims=True)))
+            gx = y * (g - (g * y).sum(axis=-1, keepdims=True))
+            gx *= scale
+            self._accum(gx)
 
         return Tensor(y, _parents=(self,), _backward=bw)
 
@@ -328,6 +344,37 @@ def _wrap(x, dtype):
     if isinstance(x, Tensor):
         return x
     return Tensor(np.asarray(x, dtype=dtype))
+
+
+def dense(x, w, *adds, gelu=False):
+    """`x @ w + adds[0] + ...`, then GELU if `gelu`, as one op; `w` is 2-D.
+
+    `[..., n] @ [n, m]` runs as one [rows, n] GEMM, and the weight
+    gradient as one GEMM too, with no [..., n, m] temporary to sum down.
+    Each add (a bias or a residual) must broadcast to the product's shape
+    and goes into the GEMM's output in place, in order. Under `no_grad()`
+    GELU overwrites that buffer as well; when recording, the op keeps that
+    pre-activation for its backward.
+    """
+    adds = tuple(_wrap(t, x.dtype) for t in adds)
+    a, b = x.data, w.data
+    pre = (a.reshape(-1, a.shape[-1]) @ b).reshape(a.shape[:-1] + b.shape[1:])
+    for t in adds:
+        pre += t.data
+    out = pre
+    if gelu:
+        out = _gelu(pre, out=None if _recording.get() else pre)
+
+    def bw(g):
+        if gelu:
+            g = _gelu(pre, g)
+        for t in reversed(adds):  # the order the composed adds run backward
+            t._accum(_reduce_to(g, t.shape))
+        g2 = g.reshape(-1, g.shape[-1])
+        x._accum((g2 @ b.T).reshape(a.shape))
+        w._accum(a.reshape(-1, a.shape[-1]).T @ g2)
+
+    return Tensor(out, _parents=(x, w) + adds, _backward=bw)
 
 
 def concat(tensors, axis=-1):

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .autodiff import Tensor, concat, dropout, gather_rows
+from .autodiff import Tensor, concat, dense, dropout, gather_rows
 from .data import QueryBatch, rng_for
 
 NEG_INF = -1e30  # additive mask; exp underflows to exactly 0 after the shift
@@ -55,6 +55,10 @@ class ModelConfig:
             p = getattr(self, name)
             if not 0.0 <= p < 1.0:
                 raise ValueError(f"{name} must be in [0, 1), got {p!r}")
+        for name in ("use_elapsed", "use_repeat"):
+            flag = getattr(self, name)
+            if not isinstance(flag, bool):
+                raise ValueError(f"{name} must be true or false, got {flag!r}")
         if self.dim % self.heads:
             raise ValueError(f"dim {self.dim} not divisible by heads {self.heads}")
         if self.positional not in ("index", "interval", "none"):
@@ -149,7 +153,7 @@ class Model:
             s = s + gather_rows(p["pos"], pos_idx)
         elif cfg.positional == "interval":
             dt = np.log1p(batch.nbr_dt).astype(self.dtype)[:, :, None]
-            enc = Tensor(dt) @ p["tpos.w"] + p["tpos.b"]
+            enc = dense(Tensor(dt), p["tpos.w"], p["tpos.b"])
             s = concat([s, enc], axis=-1) @ p["tpos.re"]
 
         s = s * Tensor(mask[:, :, None])  # padded slots contribute exact zeros
@@ -166,10 +170,10 @@ class Model:
         p, dh = self.params, self.cfg.head_width()
         q = self._heads(h @ p[f"l{layer}.wq"])
         kk = self._heads(s @ p[f"l{layer}.wk"])
-        logits = (q @ kk.transpose(0, 1, 3, 2)) * (1.0 / np.sqrt(dh))
         # additive mask: padded slots drop to -1e30 and get zero weight
         bias = ((mask - 1.0) * -NEG_INF)[:, None, None, :]
-        return (logits + Tensor(bias.astype(self.dtype))).softmax_rows()
+        return (q @ kk.transpose(0, 1, 3, 2)).softmax_rows(
+            1.0 / np.sqrt(dh), bias)
 
     def _attend(self, h, s, mask, layer, training, rng):
         """One cross-attention + feed-forward block with residuals."""
@@ -178,11 +182,11 @@ class Model:
         att = dropout(self._attention(h, s, mask, layer), cfg.p_attn, rng, training)
         v = self._heads(s @ p[f"l{layer}.wv"])
         z = (att @ v).transpose(0, 2, 1, 3).reshape(B, C, d)
-        h = z @ p[f"l{layer}.wo"] + h
+        h = dense(z, p[f"l{layer}.wo"], h)
 
-        f = (h @ p[f"l{layer}.ffn.w1"] + p[f"l{layer}.ffn.b1"]).gelu()
+        f = dense(h, p[f"l{layer}.ffn.w1"], p[f"l{layer}.ffn.b1"], gelu=True)
         f = dropout(f, cfg.p_hidden, rng, training)
-        return f @ p[f"l{layer}.ffn.w2"] + p[f"l{layer}.ffn.b2"] + h
+        return dense(f, p[f"l{layer}.ffn.w2"], p[f"l{layer}.ffn.b2"], h)
 
     def _head(self, h, batch: QueryBatch, training, rng):
         """Score each candidate from its state plus the side features."""
@@ -190,18 +194,18 @@ class Model:
         feats = [h]
         if cfg.use_elapsed:
             dt = np.log1p(batch.cand_dt).astype(self.dtype)[:, :, None]
-            proj = Tensor(dt) @ p["time.w"] + p["time.b"]
+            proj = dense(Tensor(dt), p["time.w"], p["time.b"])
             known = Tensor(batch.cand_dt_known.astype(self.dtype)[:, :, None])
             # candidates never seen before get a learned stand-in vector
             feats.append(proj * known + p["fresh"] * (known * -1.0 + 1.0))
         if cfg.use_repeat:
             rc = np.log1p(batch.cand_repeat).astype(self.dtype)[:, :, None]
-            feats.append(Tensor(rc) @ p["repeat.w"] + p["repeat.b"])
+            feats.append(dense(Tensor(rc), p["repeat.w"], p["repeat.b"]))
         x = concat(feats, axis=-1) if len(feats) > 1 else feats[0]
-        x = (x @ p["head.w1"] + p["head.b1"]).gelu()
+        x = dense(x, p["head.w1"], p["head.b1"], gelu=True)
         x = dropout(x, cfg.p_hidden, rng, training)
         B, C = batch.cand.shape
-        return (x @ p["head.w2"] + p["head.b2"]).reshape(B, C)
+        return dense(x, p["head.w2"], p["head.b2"]).reshape(B, C)
 
     def encode(self, batch: QueryBatch, training=False, rng=None):
         """Candidate states after all attention layers: [B, C, dim]."""

@@ -13,6 +13,7 @@ from tempolink.autodiff import (
     Tensor,
     _reduce_to,
     concat,
+    dense,
     dropout,
     gather_rows,
     grad_check,
@@ -86,6 +87,97 @@ def test_other_matmuls_keep_the_batched_adjoint(a_shape, b_shape):
     want_b = _reduce_to(a.data.swapaxes(-1, -2) @ seed, b_shape)
     assert a.grad.tobytes() == want_a.tobytes()
     assert b.grad.tobytes() == want_b.tobytes()
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize("shape", [(5, 7), (4, 6, 7), (2, 3, 4, 7)])
+@pytest.mark.parametrize("bias", [False, True])
+@pytest.mark.parametrize("residual", [False, True])
+@pytest.mark.parametrize("gelu", [False, True])
+def test_dense_is_the_composed_ops_bitwise(dtype, shape, bias, residual, gelu):
+    rng = np.random.default_rng(10)
+    add_shapes = [(6,)] * bias + [shape[:-1] + (6,)] * residual
+    inputs = [Tensor(rng.standard_normal(s).astype(dtype), requires_grad=True)
+              for s in [shape, (shape[-1], 6)] + add_shapes]
+    x, w, *adds = inputs
+    before = [t.data.copy() for t in inputs]
+    want = x @ w
+    for t in adds:
+        want = want + t
+    if gelu:
+        want = want.gelu()
+    seed = rng.standard_normal(want.shape).astype(dtype)
+    want.backward(seed=seed)
+    want_grads = [t.grad for t in inputs]
+    for t in inputs:
+        t.grad = None
+
+    got = dense(x, w, *adds, gelu=gelu)
+    assert got.dtype == dtype
+    assert got.data.tobytes() == want.data.tobytes()
+    got.backward(seed=seed)
+    for t, g in zip(inputs, want_grads):
+        assert t.grad.dtype == dtype
+        assert t.grad.tobytes() == g.tobytes()
+
+    with no_grad():
+        fast = dense(x, w, *adds, gelu=gelu)
+    assert fast._parents == ()
+    assert fast.data.tobytes() == want.data.tobytes()
+    for t, old in zip(inputs, before):  # nothing written into an input
+        assert t.data.tobytes() == old.tobytes()
+
+
+def test_dense_under_no_grad_peaks_at_its_output():
+    rng = np.random.default_rng(11)
+    x = Tensor(rng.standard_normal((4000, 64)).astype(np.float32))
+    w = Tensor(rng.standard_normal((64, 256)).astype(np.float32))
+    b = Tensor(rng.standard_normal(256).astype(np.float32))
+    with no_grad():
+        tracemalloc.start()
+        try:
+            out = dense(x, w, b, gelu=True).data
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+    assert peak <= out.nbytes + 2**20
+
+
+def _softmax_reference(logits, scale, bias, g):
+    """The composed ops' values and logits gradient, in plain numpy.
+
+    The gradient is added to zeros as `Tensor` accumulates it, which
+    turns -0.0 into 0.0.
+    """
+    z = logits * scale + bias
+    z = z - z.max(axis=-1, keepdims=True)
+    e = np.exp(z)
+    y = e / e.sum(axis=-1, keepdims=True)
+    return y, 0.0 + y * (g - (g * y).sum(axis=-1, keepdims=True)) * scale
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_scaled_masked_softmax_is_the_composed_ops_bitwise(dtype):
+    rng = np.random.default_rng(12)
+    B, heads, C, k = 3, 2, 5, 7
+    logits = Tensor((rng.standard_normal((B, heads, C, k)) * 4).astype(dtype),
+                    requires_grad=True)
+    mask = (rng.random((B, k)) < 0.6).astype(dtype)
+    mask[:, -1] = 1.0  # every row keeps a real slot
+    bias = ((mask - 1.0) * 1e30)[:, None, None, :]
+    scale = np.asarray(1.0 / np.sqrt(8.0), dtype=dtype)
+    g = rng.standard_normal(logits.shape).astype(dtype)
+    want_y, want_g = _softmax_reference(logits.data, scale, bias, g)
+
+    y = logits.softmax_rows(1.0 / np.sqrt(8.0), bias)
+    assert y.dtype == dtype
+    assert y.data.tobytes() == want_y.tobytes()
+    assert (y.data[np.broadcast_to(bias < 0, y.shape)] == 0.0).all()
+    y.backward(seed=g)
+    assert logits.grad.tobytes() == want_g.tobytes()
+    with no_grad():
+        assert logits.softmax_rows(1.0 / np.sqrt(8.0), bias).data.tobytes() == \
+            want_y.tobytes()
 
 
 def test_softmax_rows_values():
@@ -197,6 +289,11 @@ def test_dtype_contract_rejects_promotion():
         a + b
     with no_grad(), pytest.raises(TypeError, match="float64"):
         a * b
+    w = Tensor(np.ones((3, 2), dtype=np.float32))
+    with no_grad(), pytest.raises(TypeError, match="dense turned float64"):
+        dense(a.reshape(1, 3), w, Tensor(np.ones(2)))
+    with pytest.raises(TypeError):
+        a.softmax_rows(bias=np.zeros(3))
     # a backward closure that promotes is caught where it accumulates
     y = Tensor(a.data * 2, _parents=(a,),
                _backward=lambda g: a._accum(g.astype(np.float64)))
@@ -305,6 +402,15 @@ def test_primitive_gradients_against_central_differences():
             lambda: ((f @ b) * (f @ b)).sum(), {"f": f, "b": b},
         ),
         "softmax": (lambda: ((a @ b).softmax_rows() * c.sum(axis=0)).sum(), {"a": a}),
+        "scaled_masked_softmax": (
+            lambda: ((a @ b).softmax_rows(0.3, np.array([0.0, -1e30, 0.0]))
+                     * c.sum(axis=0)).sum(), {"a": a, "b": b},
+        ),
+        "dense_bias_residual_gelu": (
+            lambda: dense(e, b, c.sum(axis=0).sum(axis=0), (e @ b) * 0.5,
+                          gelu=True).sum(),
+            {"e": e, "b": b, "c": c},
+        ),
         "gelu": (lambda: a.gelu().sum(), {"a": a}),
         "sigmoid": (lambda: a.sigmoid().mean(), {"a": a}),
         "log": (lambda: ((a * a) + 0.1).log().sum(), {"a": a}),

@@ -373,6 +373,8 @@ def test_bad_config_key_rejected(tmp_path, capsys, section, key):
     ("model", "heads", 0), ("model", "dim", 0), ("model", "k", 0),
     ("model", "ffn_mult", 0), ("model", "layers", -1),
     ("model", "p_emb", 1.0), ("model", "p_attn", -0.1),
+    ("model", "use_repeat", "0"), ("model", "use_repeat", "false"),
+    ("model", "use_elapsed", 1),
     ("train", "batch_size", -5), ("train", "batch_size", 0),
     ("train", "batch_size", 2.5),
     ("train", "max_epochs", 0), ("train", "patience", -1),
