@@ -1,0 +1,132 @@
+#!/usr/bin/env python3
+"""Print one sha256 per artifact of two fixed training runs in a checkout.
+
+    python3 scripts/artifact_digests.py CHECKOUT
+
+Runs `tempolink` from CHECKOUT/src through its CLI, in a temporary
+directory, on two workloads and in both precisions:
+
+  * c10: criterion 10's run. 800 events over 60 nodes with integer times
+    (so many ties), dim 16, k 4, 3 epochs, seed 7, q 20.
+  * repeat2: a 2-layer `use_repeat` run. 5000 events over 300 nodes, 70%
+    of them to one of five favourites of their source, times uniform on
+    [0, 1e4); dim 32, k 10, batch 200, lr 3e-3, 5 epochs, seed 3, q 20.
+
+Each run ingests, trains, then ranks the test split with the model and
+with EdgeBank. The script prints the sha256 of the bundle, every
+`model.bin` and every negative cache, and of the `metrics.jsonl` rows
+and every report as canonical JSON with `wall_ms` removed, the one field
+that measures the host. Two checkouts that give the same output give the
+same results on both workloads, so comparing a change with its parent is
+one run per checkout and a `diff`. The events come from numpy's seeded
+generator in this process, so both checkouts see the same input.
+"""
+
+import argparse
+import hashlib
+import json
+import os
+import subprocess
+import sys
+import tempfile
+from pathlib import Path
+
+import numpy as np
+
+
+def c10_events():
+    rng = np.random.default_rng(17)
+    src = rng.integers(0, 60, 800)
+    dst = rng.integers(0, 60, 800)
+    return src, dst, np.sort(rng.integers(0, 400, 800))
+
+
+def repeat2_events():
+    rng = np.random.default_rng(5)
+    n, m = 300, 5000
+    favourites = rng.integers(0, n, (n, 5))
+    src = rng.integers(0, n, m)
+    dst = np.where(rng.random(m) < 0.7, favourites[src, rng.integers(0, 5, m)],
+                   rng.integers(0, n, m))
+    return src, dst, np.sort(rng.uniform(0, 1e4, m))
+
+
+WORKLOADS = {
+    "c10": (c10_events, 7, {
+        "model": {"dim": 16, "heads": 2, "layers": 1, "k": 4},
+        "train": {"batch_size": 64, "lr": 1e-3, "max_epochs": 3, "patience": 3},
+        "q_eval": 20,
+    }),
+    "repeat2": (repeat2_events, 3, {
+        "model": {"dim": 32, "heads": 2, "layers": 2, "k": 10,
+                  "use_repeat": True},
+        "train": {"batch_size": 200, "lr": 3e-3, "max_epochs": 5, "patience": 5},
+        "q_eval": 20,
+    }),
+}
+
+
+def strip_wall_ms(obj):
+    if isinstance(obj, dict):
+        return {k: strip_wall_ms(v) for k, v in obj.items() if k != "wall_ms"}
+    if isinstance(obj, list):
+        return [strip_wall_ms(v) for v in obj]
+    return obj
+
+
+def json_digest(objects):
+    text = json.dumps([strip_wall_ms(o) for o in objects], sort_keys=True)
+    return hashlib.sha256(text.encode()).hexdigest()
+
+
+def digests(work):
+    """{artifact: sha256} over every file the runs in `work` left behind."""
+    out = {}
+    for path in sorted(work.rglob("*")):
+        name = str(path.relative_to(work))
+        if path.suffix == ".bin":
+            out[name] = hashlib.sha256(path.read_bytes()).hexdigest()
+        elif path.suffix == ".jsonl":
+            out[name + " rows"] = json_digest(
+                json.loads(line) for line in path.read_text().splitlines())
+        elif path.suffix == ".json" and path.name != "config.json":
+            out[name + " fields"] = json_digest([json.loads(path.read_text())])
+    return out
+
+
+def run_workload(cli, work, events, seed, config):
+    work.mkdir()
+    src, dst, t = events()
+    (work / "events.csv").write_text(
+        "".join(f"{s} {d} {tt}\n" for s, d, tt in zip(src, dst, t)))
+    (work / "config.json").write_text(json.dumps(config))
+    cli("ingest", "--input", work / "events.csv", "--out", work / "events.bin")
+    common = ["--bundle", work / "events.bin", "--config", work / "config.json",
+              "--seed", str(seed)]
+    for precision in ("single", "double"):
+        out = work / precision
+        cli("train", *common, "--precision", precision, "--out", out)
+        cli("evaluate", *common, "--model", out / "model.bin",
+            "--out", out / "test_report.json")
+    cli("evaluate", *common, "--edgebank", "--out", work / "edgebank_report.json")
+
+
+def main(argv=None):
+    ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    ap.add_argument("checkout", type=Path, help="repository root to run")
+    args = ap.parse_args(argv)
+    env = dict(os.environ, PYTHONPATH=str(args.checkout.resolve() / "src"))
+
+    def cli(*argv):
+        subprocess.run([sys.executable, "-m", "tempolink.cli", *map(str, argv)],
+                       env=env, check=True, stdout=subprocess.DEVNULL)
+
+    with tempfile.TemporaryDirectory() as tmp:
+        for name, (events, seed, config) in WORKLOADS.items():
+            run_workload(cli, Path(tmp) / name, events, seed, config)
+        for artifact, digest in digests(Path(tmp)).items():
+            print(f"{digest}  {artifact}")
+
+
+if __name__ == "__main__":
+    main()

@@ -30,11 +30,12 @@ from .data import (
     chronological_split,
     eval_negatives,
     load_negatives,
+    require_int,
     save_negatives,
 )
 from .dataset import ingest, load_bundle
 from .evaluate import evaluate, evaluate_edgebank
-from .model import Model, ModelConfig, require_int
+from .model import Model, ModelConfig
 from .store import build_index
 from .trainer import TrainConfig, load_checkpoint, save_checkpoint, train
 
@@ -42,11 +43,15 @@ from .trainer import TrainConfig, load_checkpoint, save_checkpoint, train
 def load_config(path):
     """Read a JSON run config; unknown keys fail loudly, not silently."""
     with open(path) as f:
-        raw = json.load(f)
-    known = {"model", "train", "split", "q_eval"}
-    extra = set(raw) - known
+        try:
+            raw = json.load(f)
+        except ValueError as e:  # malformed JSON or text that is not UTF-8
+            raise ValueError(f"{path}: not a JSON config: {e}") from None
+    if not isinstance(raw, dict):
+        raise ValueError(f"{path}: a config must be a JSON object")
+    extra = set(raw) - {"model", "train", "split", "q_eval"}
     if extra:
-        raise ValueError(f"unknown config sections: {sorted(extra)}")
+        raise ValueError(f"{path}: unknown config sections: {sorted(extra)}")
     return raw
 
 

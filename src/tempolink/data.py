@@ -20,12 +20,31 @@ def rng_for(seed: int, *keys) -> np.random.Generator:
     return np.random.default_rng(np.random.SeedSequence([int(seed)] + ints))
 
 
+def require_int(name, value, lo):
+    """`value` when it is an integer >= lo; a ValueError naming `name` if not."""
+    is_int = isinstance(value, (int, np.integer)) and not isinstance(value, bool)
+    if not is_int or value < lo:
+        raise ValueError(f"{name} must be an integer >= {lo}, got {value!r}")
+    return value
+
+
+def require_real(name, value):
+    """`value` when it is a non-bool int or float; a ValueError naming `name` if not."""
+    is_real = (isinstance(value, (int, float, np.integer, np.floating))
+               and not isinstance(value, bool))
+    if not is_real:
+        raise ValueError(f"{name} must be a number, got {value!r}")
+    return value
+
+
 @dataclass(frozen=True)
 class SplitSpec:
     train_frac: float = 0.70
     val_frac: float = 0.15
 
     def __post_init__(self):
+        for name in ("train_frac", "val_frac"):
+            require_real(name, getattr(self, name))
         if not (0 < self.train_frac and 0 <= self.val_frac
                 and self.train_frac + self.val_frac < 1):
             raise ValueError("fractions must be positive and sum below 1")
@@ -57,9 +76,11 @@ class Splits:
 def chronological_split(m: int, spec: SplitSpec = SplitSpec()) -> Splits:
     train_end = int(np.floor(spec.train_frac * m))
     val_end = train_end + int(np.floor(spec.val_frac * m))
-    if train_end == 0 or val_end == m:
-        raise ValueError(f"split of {m} edges leaves an empty partition")
-    return Splits(train_end=train_end, val_end=val_end, m=m)
+    splits = Splits(train_end=train_end, val_end=val_end, m=m)
+    empty = [name for name, size in splits.sizes().items() if size == 0]
+    if empty:
+        raise ValueError(f"split of {m} edges leaves the {empty[0]} partition empty")
+    return splits
 
 
 # -- negative sampling --------------------------------------------------------

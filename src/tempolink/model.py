@@ -19,17 +19,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .autodiff import Tensor, concat, dense, dropout, gather_rows
-from .data import QueryBatch, rng_for
+from .data import QueryBatch, require_int, require_real, rng_for
 
 NEG_INF = -1e30  # additive mask; exp underflows to exactly 0 after the shift
-
-
-def require_int(name, value, lo):
-    """`value` when it is an integer >= lo; a ValueError naming `name` if not."""
-    is_int = isinstance(value, (int, np.integer)) and not isinstance(value, bool)
-    if not is_int or value < lo:
-        raise ValueError(f"{name} must be an integer >= {lo}, got {value!r}")
-    return value
 
 
 @dataclass(frozen=True)
@@ -52,7 +44,7 @@ class ModelConfig:
                          ("ffn_mult", 1), ("layers", 0)):
             require_int(name, getattr(self, name), lo)
         for name in ("p_attn", "p_hidden", "p_emb"):
-            p = getattr(self, name)
+            p = require_real(name, getattr(self, name))
             if not 0.0 <= p < 1.0:
                 raise ValueError(f"{name} must be in [0, 1), got {p!r}")
         for name in ("use_elapsed", "use_repeat"):

@@ -3,18 +3,23 @@
 Edges arrive as three parallel arrays (src, dst, t) sorted by time, ties
 broken by input order. Each timestamp has a dense rank: its position in
 the sorted distinct times. The index keeps three layouts over the edges,
-each sorted by an int64 key `group * (R + 1) + rank`, R being the number
-of distinct times:
+each one sorted array of int64 keys `group * W + rank`, W = R + 1 being
+one more than the number R of distinct times:
 
   * source-role events, grouped by node: feeds recent-history windows
   * merged-role activity, grouped by node: feeds last-activity lookups
   * events grouped by distinct (src, dst) pair: feeds repeat counts
 
+A key holds its event's group and time, so a layout needs no other
+array: group g's events are the keys in [g * W, (g + 1) * W), and an
+event's time is `times[key % W]`. Only what a key cannot encode is kept
+beside it: the peer of each source-role event, and the pair ids.
+
 All queries are strict: only events with time < t are visible at t, so a
 query at an edge's own timestamp never sees that edge. A query time maps
 to the number of distinct times below it, so the events of a group that
 are visible at t are exactly those whose key lies below
-`group * (R + 1) + that count`, and one `np.searchsorted` over a layout
+`group * W + that count`, and one `np.searchsorted` over a layout
 answers a whole batch of queries.
 """
 
@@ -72,14 +77,6 @@ def validate_edges(src, dst, t, num_nodes):
                 )
 
 
-def _group_ptr(keys, num_nodes):
-    """CSR pointer array over key-grouped rows (keys already countable)."""
-    counts = np.bincount(keys, minlength=num_nodes)
-    ptr = np.zeros(num_nodes + 1, dtype=np.int64)
-    np.cumsum(counts, out=ptr[1:])
-    return ptr
-
-
 def _check_keys_fit(n_groups, width, what):
     """Raise unless keys group * width + r, r < width, all fit in int64."""
     if n_groups * width > 2**63:  # Python ints, so the check itself cannot wrap
@@ -92,15 +89,11 @@ def _check_keys_fit(n_groups, width, what):
 class NeighborIndex:
     num_nodes: int
     times: np.ndarray = field(repr=False)     # distinct event times, sorted
-    # source-role events: peer/time of edges where the node is src
-    ev_ptr: np.ndarray = field(repr=False)
+    # source-role events (node = src) and the dst of each
     ev_key: np.ndarray = field(repr=False)
     ev_peer: np.ndarray = field(repr=False)
-    ev_time: np.ndarray = field(repr=False)
     # merged-role activity (node appears as src or dst)
-    act_ptr: np.ndarray = field(repr=False)
     act_key: np.ndarray = field(repr=False)
-    act_time: np.ndarray = field(repr=False)
     # sorted distinct src * num_nodes + dst, and one key per event of the
     # pair with group = the pair's position in pair_ids
     pair_ids: np.ndarray = field(repr=False)
@@ -124,8 +117,6 @@ class NeighborIndex:
             raise ValueError("query time is NaN")
         return np.searchsorted(self.times, times, "left")
 
-    # -- batched queries ------------------------------------------------------
-
     def recent_neighbors_batch(self, nodes, times, k):
         """Most recent k source-role neighbors strictly before each time.
 
@@ -135,17 +126,17 @@ class NeighborIndex:
         """
         if k < 1:
             raise ValueError(f"k must be >= 1, got {k}")
-        nodes = self._ids(nodes)
-        cut = np.searchsorted(self.ev_key, nodes * self.width + self._ranks(times))
-        n = np.minimum(cut - self.ev_ptr[nodes], k)
-        B = nodes.shape[0]
+        base = self._ids(nodes) * self.width
+        cut = np.searchsorted(self.ev_key, base + self._ranks(times))
+        n = np.minimum(cut - np.searchsorted(self.ev_key, base), k)
+        B = base.shape[0]
         out_peer = np.full((B, k), -1, dtype=np.int64)
         out_time = np.zeros((B, k), dtype=np.float64)
         # slot j of row b holds event cut[b] - k + j once j >= k - n[b]
         real = np.arange(k) >= (k - n)[:, None]
         pos = (cut[:, None] + np.arange(-k, 0))[real]
         out_peer[real] = self.ev_peer[pos]
-        out_time[real] = self.ev_time[pos]
+        out_time[real] = self.times[self.ev_key[pos] % self.width]
         return out_peer, out_time, n
 
     def last_activity_batch(self, nodes, times):
@@ -154,11 +145,15 @@ class NeighborIndex:
         Returns (t[B], has[B]); has[b]=0 flags a node with no prior
         activity, in which case t[b] is 0 and must not be read as a time.
         """
-        nodes = self._ids(nodes)
-        cut = np.searchsorted(self.act_key, nodes * self.width + self._ranks(times))
-        has = cut > self.act_ptr[nodes]
-        out_t = np.zeros(nodes.shape[0], dtype=np.float64)
-        out_t[has] = self.act_time[cut[has] - 1]
+        base = self._ids(nodes) * self.width
+        cut = np.searchsorted(self.act_key, base + self._ranks(times))
+        # the key just below the cut is the latest visible one of its
+        # group, and that group is the node's when the key is >= base
+        last = np.full(base.shape[0], -1, dtype=np.int64)
+        last[cut > 0] = self.act_key[cut[cut > 0] - 1]
+        has = last >= base
+        out_t = np.zeros(base.shape[0], dtype=np.float64)
+        out_t[has] = self.times[last[has] % self.width]
         return out_t, has.astype(np.int64)
 
     def repeat_count_batch(self, srcs, dsts, times):
@@ -175,25 +170,6 @@ class NeighborIndex:
                      - np.searchsorted(self.pair_key, base))
         return out
 
-    # -- single-query convenience wrappers ----------------------------------
-
-    def recent_neighbors(self, node, t, k):
-        peer, time, n = self.recent_neighbors_batch(
-            np.array([node]), np.array([float(t)]), k
-        )
-        m = int(n[0])
-        return peer[0, k - m:], time[0, k - m:]
-
-    def last_activity(self, node, t) -> Optional[float]:
-        tt, has = self.last_activity_batch(np.array([node]), np.array([float(t)]))
-        return float(tt[0]) if has[0] else None
-
-    def repeat_count(self, src, dst, t) -> int:
-        out = self.repeat_count_batch(
-            np.array([src]), np.array([dst]), np.array([float(t)])
-        )
-        return int(out[0])
-
 
 def build_index(src, dst, t, num_nodes) -> NeighborIndex:
     """Build the three key-sorted layouts from time-sorted edge arrays.
@@ -205,34 +181,22 @@ def build_index(src, dst, t, num_nodes) -> NeighborIndex:
     t = np.ascontiguousarray(t, dtype=np.float64)
     validate_edges(src, dst, t, num_nodes)
     times, rank = np.unique(t, return_inverse=True)
-    # checked before anything sized by num_nodes is allocated; pair-time
-    # keys stay below m * (m + 1), far inside int64 for any array that fits
+    # pair-time keys stay below m * (m + 1), far inside int64 for any
+    # array that fits
     width = times.size + 1
     _check_keys_fit(num_nodes, width, "node-time")
     _check_keys_fit(num_nodes, num_nodes, "pair")
 
     # source-role: stable sort by src keeps the time order inside each group
     order = np.argsort(src, kind="stable")
-    ev_ptr = _group_ptr(src, num_nodes)
-    ev_key = (src * width + rank)[order]
-
-    # merged-role: interleave src/dst occurrences so position order stays
-    # time order, then group by node the same way
-    m = src.shape[0]
-    nodes2 = np.empty(2 * m, dtype=np.int64)
-    nodes2[0::2] = src
-    nodes2[1::2] = dst
-    order2 = np.argsort(nodes2, kind="stable")
-    act_ptr = _group_ptr(nodes2, num_nodes)
-    act_key = (nodes2 * width + np.repeat(rank, 2))[order2]
-
+    # merged-role: one key per endpoint of each edge
+    act_key = np.sort(np.concatenate([src, dst]) * width + np.tile(rank, 2))
     # pairs: a repeat count only needs how many keys of the pair fall below
     # the query's, so the keys are sorted on their own
     pair_ids, pair_of = np.unique(src * num_nodes + dst, return_inverse=True)
 
     return NeighborIndex(
         num_nodes=num_nodes, times=times,
-        ev_ptr=ev_ptr, ev_key=ev_key, ev_peer=dst[order], ev_time=t[order],
-        act_ptr=act_ptr, act_key=act_key, act_time=np.repeat(t, 2)[order2],
+        ev_key=(src * width + rank)[order], ev_peer=dst[order], act_key=act_key,
         pair_ids=pair_ids, pair_key=np.sort(pair_of * width + rank),
     )

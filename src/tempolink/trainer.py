@@ -7,9 +7,10 @@ from dataclasses import asdict, dataclass
 import numpy as np
 
 from .array_io import load_arrays, save_arrays
-from .data import assemble_batch, rng_for, shuffle_order, train_negatives
+from .data import (assemble_batch, require_int, require_real, rng_for,
+                   shuffle_order, train_negatives)
 from .evaluate import evaluate
-from .model import Model, ModelConfig, bce_loss, bpr_loss, require_int
+from .model import Model, ModelConfig, bce_loss, bpr_loss
 from .optim import Adam
 
 CHECKPOINT_KIND = "tempolink-model"
@@ -26,7 +27,7 @@ class TrainConfig:
     def __post_init__(self):
         for name, lo in (("batch_size", 1), ("max_epochs", 1), ("patience", 0)):
             require_int(name, getattr(self, name), lo)
-        if not (np.isfinite(self.lr) and self.lr > 0):
+        if not (np.isfinite(require_real("lr", self.lr)) and self.lr > 0):
             raise ValueError(f"lr must be finite and > 0, got {self.lr!r}")
         if self.loss not in ("bpr", "bce"):
             raise ValueError(f"unknown loss {self.loss!r}")

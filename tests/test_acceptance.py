@@ -208,6 +208,7 @@ def test_criterion_03_index_oracle_equivalence():
                                        t_scale=float(n_edges) / 3)
             index = build_index(src, dst, t, n_nodes)
             oracle = LinearScanOracle(src, dst, t)
+            queries = []  # (node, qt, k, other) per trial
             for qi in range(200):
                 node = int(rng.integers(0, n_nodes))
                 # cover before-first, interior, exact-timestamp, after-last
@@ -217,20 +218,26 @@ def test_criterion_03_index_oracle_equivalence():
                     0.0,
                 ]))
                 k = ks[qi % len(ks)]
-
-                peer, times = index.recent_neighbors(node, qt, k)
-                want_peer, want_t = oracle.recent_neighbors(node, qt, k)
-                assert peer.tolist() == want_peer
-                assert times.tolist() == want_t
-                assert all(tt < qt for tt in times)  # no leakage
-
-                got_last = index.last_activity(node, qt)
-                assert got_last == oracle.last_activity(node, qt)
-                assert got_last is None or got_last < qt
-
                 other = int(rng.integers(0, n_nodes))
-                assert index.repeat_count(node, other, qt) == \
-                    oracle.repeat_count(node, other, qt)
+                queries.append((node, qt, k, other))
+            qn, qt, _, qd = (np.array(col) for col in zip(*queries))
+            # the batch calls assemble_batch makes; trial i reads row i
+            windows = {k: index.recent_neighbors_batch(qn, qt, k) for k in ks}
+            last_t, has = index.last_activity_batch(qn, qt)
+            counts = index.repeat_count_batch(qn, qd, qt)
+            for i, (node, q_t, k, other) in enumerate(queries):
+                peer, times, n = (a[i] for a in windows[k])
+                want_peer, want_t = oracle.recent_neighbors(node, q_t, k)
+                assert peer[k - n:].tolist() == want_peer
+                assert times[k - n:].tolist() == want_t
+                assert all(tt < q_t for tt in times[k - n:])  # no leakage
+                assert (peer[:k - n] == -1).all() and (times[:k - n] == 0).all()
+
+                got_last = float(last_t[i]) if has[i] else None
+                assert got_last == oracle.last_activity(node, q_t)
+                assert got_last is None or got_last < q_t
+
+                assert counts[i] == oracle.repeat_count(node, other, q_t)
                 trials += 1
         assert trials == 1000
         elapsed = time.perf_counter() - t0

@@ -373,12 +373,16 @@ def test_bad_config_key_rejected(tmp_path, capsys, section, key):
     ("model", "heads", 0), ("model", "dim", 0), ("model", "k", 0),
     ("model", "ffn_mult", 0), ("model", "layers", -1),
     ("model", "p_emb", 1.0), ("model", "p_attn", -0.1),
+    ("model", "p_attn", False), ("model", "p_attn", "0.1"),
+    ("model", "p_hidden", None), ("model", "p_emb", "0.1"),
     ("model", "use_repeat", "0"), ("model", "use_repeat", "false"),
     ("model", "use_elapsed", 1),
     ("train", "batch_size", -5), ("train", "batch_size", 0),
     ("train", "batch_size", 2.5),
     ("train", "max_epochs", 0), ("train", "patience", -1),
     ("train", "lr", -1), ("train", "lr", float("inf")),
+    ("train", "lr", True), ("train", "lr", "0.1"),
+    ("split", "train_frac", "0.7"), ("split", "val_frac", True),
     (None, "q_eval", 0), (None, "q_eval", 2.5), (None, "--q", 0),
 ])
 def test_out_of_range_value_is_an_error_line(tmp_path, capsys, section, key,
@@ -404,6 +408,33 @@ def test_out_of_range_value_is_an_error_line(tmp_path, capsys, section, key,
     assert err.startswith("error: ")
     assert f"{key} must be" in err and f"got {value!r}" in err
     assert not run.exists()
+
+
+def test_empty_validation_split_is_an_error_line(tmp_path, capsys):
+    bundle = make_bundle(tmp_path)
+    cfg = copy.deepcopy(TINY)
+    cfg["split"]["val_frac"] = 0
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(cfg))
+    run = tmp_path / "run"
+    capsys.readouterr()
+    assert main(["train", "--bundle", str(bundle), "--config", str(path),
+                 "--seed", "1", "--out", str(run)]) == 1
+    assert capsys.readouterr().err == \
+        "error: split of 400 edges leaves the val partition empty\n"
+    assert not run.exists()
+
+
+@pytest.mark.parametrize("text", ["5", "null", "[1, 2]", '{"model": ', "\xff"])
+def test_config_that_is_not_a_json_object_is_an_error_line(tmp_path, capsys, text):
+    bundle = make_bundle(tmp_path)
+    path = tmp_path / "bad.json"
+    path.write_bytes(text.encode("latin-1"))
+    capsys.readouterr()
+    assert main(["train", "--bundle", str(bundle), "--config", str(path),
+                 "--seed", "1", "--out", str(tmp_path / "run")]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {path}: ") and "Traceback" not in err
 
 
 def test_evaluate_q_defaults_to_config_q_eval(tmp_path, tiny_config):

@@ -45,8 +45,10 @@ def test_split_partitions_cover_everything():
 
 
 def test_split_rejects_degenerate():
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="leaves the train partition empty"):
         chronological_split(1, SplitSpec(0.5, 0.25))
+    with pytest.raises(ValueError, match="leaves the val partition empty"):
+        chronological_split(1000, SplitSpec(0.7, 0))
     with pytest.raises(ValueError):
         SplitSpec(0.9, 0.2)
 

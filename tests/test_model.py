@@ -252,6 +252,10 @@ def test_config_validation():
             with pytest.raises(ValueError,
                                match=f"{name} must be true or false, got {bad!r}"):
                 ModelConfig(num_nodes=5, **{name: bad})
+    for name in ("p_attn", "p_hidden", "p_emb"):
+        for bad in (True, False, "0.1", None):
+            with pytest.raises(ValueError, match=f"{name} must be a number, got {bad!r}"):
+                ModelConfig(num_nodes=5, **{name: bad})
 
 
 def test_dropout_changes_training_scores_but_not_eval():

@@ -1,5 +1,7 @@
 """Neighbor index vs a brute-force linear scan over the raw edge list."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -36,9 +38,10 @@ def test_recent_neighbors_matches_linear_scan(graph):
 def test_query_at_event_time_excludes_that_event(graph):
     src, dst, t, index, _ = graph
     # strict cutoff: a query at an edge's own timestamp sees only earlier times
-    for i in (0, 100, 2500, 4999):
-        peers, times = index.recent_neighbors(int(src[i]), float(t[i]), 5000)
-        assert (np.asarray(times) < t[i]).all()
+    rows = [0, 100, 2500, 4999]
+    _, times, n = index.recent_neighbors_batch(src[rows], t[rows], 5000)
+    for b, i in enumerate(rows):
+        assert (times[b, 5000 - n[b]:] < t[i]).all()
 
 
 def test_last_activity_matches_linear_scan(graph):
@@ -130,8 +133,7 @@ def test_keys_past_int64_rejected():
     src = np.array([0, 1], dtype=np.int64)
     dst = np.array([1, 0], dtype=np.int64)
     t = np.array([1.0, 2.0])
-    # node-time keys: 2**62 nodes x 3 ranks; pair keys: (2**32)**2 pairs.
-    # Both fail before any array sized by the node count is allocated.
+    # node-time keys: 2**62 nodes x 3 ranks; pair keys: (2**32)**2 pairs
     with pytest.raises(ValueError, match="node-time keys"):
         build_index(src, dst, t, 2**62)
     with pytest.raises(ValueError, match="pair keys"):
@@ -161,6 +163,48 @@ def test_empty_edge_array_answers_every_query_with_nothing():
     last_t, has = index.last_activity_batch(qn, qt)
     assert has.tolist() == [0, 0, 0] and last_t.tolist() == [0.0, 0.0, 0.0]
     assert index.repeat_count_batch(qn, qn[::-1], qt).tolist() == [0, 0, 0]
+
+
+@pytest.mark.parametrize("src,dst", [
+    ([], []),
+    # silent nodes 0 and 2, the latter right after the active node 1;
+    # node 3 only ever a destination; the last id, 4, active
+    ([1, 4, 1, 4], [3, 3, 3, 1]),
+    # node 0 active; the last id, 4, silent right after the active node 3
+    ([0, 3, 3, 0], [1, 1, 0, 3]),
+])
+def test_silent_node_borrows_no_neighbor_events(src, dst):
+    src, dst = np.array(src, dtype=np.int64), np.array(dst, dtype=np.int64)
+    t = np.array([1.0, 2.0, 2.0, 3.0])[:src.size]
+    index = build_index(src, dst, t, 5)
+    oracle = LinearScanOracle(src, dst, t)
+    # before the first event, at each event time, between and after them all
+    times = [-np.inf, 0.0, 1.0, 1.5, 2.0, 2.5, 3.0, np.inf]
+    qn = np.repeat(np.arange(5), len(times))
+    qt = np.tile(times, 5)
+    peer, time, n = index.recent_neighbors_batch(qn, qt, 3)
+    last_t, has = index.last_activity_batch(qn, qt)
+    for b in range(qn.size):
+        want_p, want_t = oracle.recent_neighbors(qn[b], qt[b], 3)
+        assert (peer[b, 3 - n[b]:].tolist(), time[b, 3 - n[b]:].tolist()) == \
+            (want_p, want_t)
+        assert (peer[b, :3 - n[b]] == -1).all()
+        want = oracle.last_activity(qn[b], qt[b])
+        assert (int(has[b]), float(last_t[b])) == ((0, 0.0) if want is None else (1, want))
+
+
+def test_index_memory_does_not_grow_with_the_node_count():
+    rng = np.random.default_rng(5)
+    num_nodes = 2_000_000
+    src, dst = rng.integers(0, num_nodes, (2, 1000))
+    t = np.sort(rng.uniform(0, 100, 1000))
+    tracemalloc.start()
+    try:
+        build_index(src, dst, t, num_nodes)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 * 2**20, f"build_index peaked at {peak / 2**20:.1f} MB"
 
 
 # half-steps land between event times; the ends lie before and after all
