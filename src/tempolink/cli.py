@@ -41,7 +41,7 @@ from .trainer import TrainConfig, load_checkpoint, save_checkpoint, train
 
 
 def load_config(path):
-    """Read a JSON run config; unknown keys fail loudly, not silently."""
+    """Read a JSON run config; unknown keys and non-object sections fail loudly."""
     with open(path) as f:
         try:
             raw = json.load(f)
@@ -52,6 +52,10 @@ def load_config(path):
     extra = set(raw) - {"model", "train", "split", "q_eval"}
     if extra:
         raise ValueError(f"{path}: unknown config sections: {sorted(extra)}")
+    for name in ("model", "train", "split"):
+        if not isinstance(raw.get(name, {}), dict):
+            raise ValueError(f"{path}: {json.dumps(name)} must be a JSON object, "
+                             f"got {json.dumps(raw[name])}")
     return raw
 
 

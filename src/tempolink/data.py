@@ -43,11 +43,16 @@ class SplitSpec:
     val_frac: float = 0.15
 
     def __post_init__(self):
+        # training always validates, so val_frac = 0 is as wrong as train_frac = 0;
+        # the comparisons are negated so that nan fails them too
         for name in ("train_frac", "val_frac"):
-            require_real(name, getattr(self, name))
-        if not (0 < self.train_frac and 0 <= self.val_frac
-                and self.train_frac + self.val_frac < 1):
-            raise ValueError("fractions must be positive and sum below 1")
+            value = require_real(name, getattr(self, name))
+            if not value > 0:
+                raise ValueError(f"{name} must be > 0, got {value!r}")
+        if not self.train_frac + self.val_frac < 1:
+            raise ValueError(
+                "train_frac + val_frac must be < 1, got "
+                f"{self.train_frac!r} + {self.val_frac!r}")
 
 
 @dataclass

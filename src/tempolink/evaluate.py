@@ -103,8 +103,17 @@ def edgebank_scores(index, src_q, t_q, cand):
     return (pair_counts(index, src_q, t_q, cand) > 0).astype(np.float64)
 
 
-def evaluate_edgebank(index, src, dst, t, sl, negs, batch_size=2000, config=None):
-    """MRR of the memorization baseline; scores every row, even cold ones."""
+def evaluate_edgebank(index, src, dst, t, sl, negs, batch_size=100, config=None):
+    """MRR of the memorization baseline; scores every row, even cold ones.
+
+    At q = 100 a 100-row chunk is about 10k lookups, so each of the
+    index's int64 temporaries is about 80 KB, under glibc's smallest
+    mmap threshold (128 KB), and a chunk's ~1 MB of temporaries reuses
+    the heap the previous chunk freed. A 2000-row chunk grows the heap
+    by ~7 MB per call; whether glibc trims that between calls, so that
+    every page faults again, depends on heap state, and the same code
+    then runs at one of two speeds from one process to the next.
+    """
     def score_chunk(chunk, cand):
         return edgebank_scores(index, src[chunk], t[chunk], cand), 0
 

@@ -21,6 +21,12 @@ to the number of distinct times below it, so the events of a group that
 are visible at t are exactly those whose key lies below
 `group * W + that count`, and one `np.searchsorted` over a layout
 answers a whole batch of queries.
+
+Two things keep a batch's searches cheap. A run of queries at one time
+(the candidates of a ranked row, a training pair) maps its time to a
+rank with one search. And `sorted_search` probes the node-time and pair
+layouts with its needles in ascending order, so a layout too large for
+the cache is walked front to back rather than at random.
 """
 
 from dataclasses import dataclass, field
@@ -77,6 +83,19 @@ def validate_edges(src, dst, t, num_nodes):
                 )
 
 
+def sorted_search(keys, needles):
+    """np.searchsorted(keys, needles), probing the keys in ascending order.
+
+    The needles are searched in argsort order, so a key array too large
+    for the cache is walked front to back and consecutive probes share
+    cache lines; the results are scattered back to the needles' order.
+    """
+    order = np.argsort(needles)
+    out = np.empty(needles.size, dtype=np.intp)
+    out[order] = np.searchsorted(keys, needles[order])
+    return out
+
+
 def _check_keys_fit(n_groups, width, what):
     """Raise unless keys group * width + r, r < width, all fit in int64."""
     if n_groups * width > 2**63:  # Python ints, so the check itself cannot wrap
@@ -111,11 +130,20 @@ class NeighborIndex:
         return ids
 
     def _ranks(self, times):
-        """Per query time, the number of distinct event times strictly below it."""
+        """Per query time, the number of distinct event times strictly below it.
+
+        A ranked row's candidates, and a training pair, share one time, so
+        each run of equal times is searched once.
+        """
         times = np.ascontiguousarray(times, dtype=np.float64)
         if np.isnan(times).any():
             raise ValueError("query time is NaN")
-        return np.searchsorted(self.times, times, "left")
+        new = np.empty(times.size, dtype=bool)
+        new[:1] = True
+        np.not_equal(times[1:], times[:-1], out=new[1:])
+        start = np.flatnonzero(new)
+        return np.repeat(np.searchsorted(self.times, times[start], "left"),
+                         np.diff(start, append=times.size))
 
     def recent_neighbors_batch(self, nodes, times, k):
         """Most recent k source-role neighbors strictly before each time.
@@ -146,7 +174,7 @@ class NeighborIndex:
         activity, in which case t[b] is 0 and must not be read as a time.
         """
         base = self._ids(nodes) * self.width
-        cut = np.searchsorted(self.act_key, base + self._ranks(times))
+        cut = sorted_search(self.act_key, base + self._ranks(times))
         # the key just below the cut is the latest visible one of its
         # group, and that group is the node's when the key is >= base
         last = np.full(base.shape[0], -1, dtype=np.int64)
@@ -161,13 +189,13 @@ class NeighborIndex:
         pair = self._ids(srcs) * self.num_nodes + self._ids(dsts)
         ranks = self._ranks(times)
         # pid is the first pair id >= the query's: its pair only on a match
-        pid = np.searchsorted(self.pair_ids, pair)
+        pid = sorted_search(self.pair_ids, pair)
         seen = pid < self.pair_ids.size
         seen[seen] = self.pair_ids[pid[seen]] == pair[seen]
         base = pid[seen] * self.width
         out = np.zeros(pair.shape[0], dtype=np.int64)
-        out[seen] = (np.searchsorted(self.pair_key, base + ranks[seen])
-                     - np.searchsorted(self.pair_key, base))
+        out[seen] = (sorted_search(self.pair_key, base + ranks[seen])
+                     - sorted_search(self.pair_key, base))
         return out
 
 

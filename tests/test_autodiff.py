@@ -339,6 +339,34 @@ def test_scatter_add_matches_sequential_loop_bitwise():
     assert got.tobytes() == want.tobytes()
 
 
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_scatter_add_is_the_2d_add_at_bitwise(dtype):
+    rng = np.random.default_rng(5)
+    rows = (rng.standard_normal((800, 6)) * 10.0 ** rng.integers(-4, 5, (800, 1))
+            ).astype(dtype)
+    rows[::7, 0] = 0.0
+    rows[3::7, 1] = -0.0
+    rows[5, 2] = np.nan
+    idx = rng.integers(0, 5, 800)  # about 160 rows per table row
+    start = rng.standard_normal((5, 6)).astype(dtype)
+    start[0, :] = -0.0  # -0.0 + -0.0 stays -0.0, + 0.0 does not
+    got, want_2d, want_loop = start.copy(), start.copy(), start.copy()
+    kernels.scatter_add(got, idx, rows)
+    np.add.at(want_2d, idx, rows)
+    scatter_add_loop(want_loop, idx, rows)
+    assert got.dtype == dtype
+    assert got.tobytes() == want_2d.tobytes() == want_loop.tobytes()
+
+
+def test_scatter_add_rejects_a_table_it_could_only_copy():
+    table = np.zeros((6, 4), dtype=np.float32)
+    with pytest.raises(ValueError, match="C-contiguous"):
+        kernels.scatter_add(table[:, :2], np.array([0, 1]), np.ones((2, 2), np.float32))
+    with pytest.raises(ValueError, match="C-contiguous"):
+        kernels.scatter_add(table.T, np.array([0]), np.ones((1, 6), np.float32))
+    assert not table.any()
+
+
 def test_no_grad_drops_graph_and_restores_after_exception():
     x = Tensor(np.array([1.0, 2.0, 3.0]), requires_grad=True)
     with pytest.raises(RuntimeError, match="boom"):

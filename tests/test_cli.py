@@ -413,7 +413,7 @@ def test_out_of_range_value_is_an_error_line(tmp_path, capsys, section, key,
 def test_empty_validation_split_is_an_error_line(tmp_path, capsys):
     bundle = make_bundle(tmp_path)
     cfg = copy.deepcopy(TINY)
-    cfg["split"]["val_frac"] = 0
+    cfg["split"]["val_frac"] = 0.001  # floor(0.4) = 0 of the 400 edges
     path = tmp_path / "bad.json"
     path.write_text(json.dumps(cfg))
     run = tmp_path / "run"
@@ -422,6 +422,30 @@ def test_empty_validation_split_is_an_error_line(tmp_path, capsys):
                  "--seed", "1", "--out", str(run)]) == 1
     assert capsys.readouterr().err == \
         "error: split of 400 edges leaves the val partition empty\n"
+    assert not run.exists()
+
+
+@pytest.mark.parametrize("section,value", [
+    ("model", 5), ("train", [1, 2]), ("split", "0.7"), ("model", None),
+])
+@pytest.mark.parametrize("command", ["train", "evaluate"])
+def test_config_section_that_is_not_a_json_object_is_an_error_line(
+        tmp_path, capsys, command, section, value):
+    bundle = make_bundle(tmp_path)
+    cfg = copy.deepcopy(TINY)
+    cfg[section] = value
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(cfg))
+    run = tmp_path / "run"
+    argv = [command, "--bundle", str(bundle), "--config", str(path),
+            "--seed", "1", "--out", str(run)]
+    if command == "evaluate":
+        argv.append("--edgebank")
+    capsys.readouterr()
+    assert main(argv) == 1
+    assert capsys.readouterr().err == (
+        f'error: {path}: "{section}" must be a JSON object, '
+        f"got {json.dumps(value)}\n")
     assert not run.exists()
 
 

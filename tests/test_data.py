@@ -48,9 +48,23 @@ def test_split_rejects_degenerate():
     with pytest.raises(ValueError, match="leaves the train partition empty"):
         chronological_split(1, SplitSpec(0.5, 0.25))
     with pytest.raises(ValueError, match="leaves the val partition empty"):
-        chronological_split(1000, SplitSpec(0.7, 0))
+        chronological_split(10, SplitSpec(0.7, 0.05))
     with pytest.raises(ValueError):
         SplitSpec(0.9, 0.2)
+
+
+@pytest.mark.parametrize("fields,message", [
+    ({"train_frac": 0}, "train_frac must be > 0, got 0"),
+    ({"val_frac": -0.1}, "val_frac must be > 0, got -0.1"),
+    ({"val_frac": 0}, "val_frac must be > 0, got 0"),
+    ({"val_frac": float("nan")}, "val_frac must be > 0, got nan"),
+    ({"train_frac": 0.9, "val_frac": 0.2},
+     "train_frac + val_frac must be < 1, got 0.9 + 0.2"),
+])
+def test_split_spec_errors_name_the_field_and_its_rule(fields, message):
+    with pytest.raises(ValueError) as e:
+        SplitSpec(**fields)
+    assert str(e.value) == message
 
 
 # -- negative sampling ----------------------------------------------------------

@@ -1,6 +1,7 @@
 """Ranking metric and baseline checks."""
 
 import json
+import tracemalloc
 from functools import partial
 
 import numpy as np
@@ -129,6 +130,23 @@ def test_edgebank_evaluate_and_report_json(eval_setup, tmp_path):
     assert back["mrr"] == rep.mrr
     assert back["config"] == {"q": 10}
     assert sum(back["ranks_hist"].values()) == rep.n_ranked
+
+
+def test_edgebank_working_memory_does_not_grow_with_the_rows():
+    # 2000 rows at q = 100: one 2000-row chunk peaked at about 15 MB
+    rng = np.random.default_rng(7)
+    src, dst, t = random_graph(rng, n_nodes=500, n_edges=20_000)
+    index = build_index(src, dst, t, 500)
+    sl = slice(src.size - 2000, src.size)
+    negs = rng.integers(0, 500, (2000, 100))
+    tracemalloc.start()
+    try:
+        rep = evaluate_edgebank(index, src, dst, t, sl, negs)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert rep.n_ranked == 2000
+    assert peak < 2 * 2**20, f"evaluate_edgebank peaked at {peak / 2**20:.1f} MB"
 
 
 def test_eval_report_wall_time_positive(eval_setup):

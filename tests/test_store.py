@@ -7,7 +7,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from oracles import LinearScanOracle, random_graph
-from tempolink.store import GraphMeta, build_index, validate_edges
+from tempolink.data import pair_counts
+from tempolink.store import GraphMeta, build_index, sorted_search, validate_edges
 
 
 @pytest.fixture(scope="module")
@@ -209,13 +210,16 @@ def test_index_memory_does_not_grow_with_the_node_count():
 
 # half-steps land between event times; the ends lie before and after all
 QUERY_TIMES = [-np.inf, -1.0] + [x / 2 for x in range(15)] + [9.0, np.inf]
+# both zeros, which compare equal and so may share a run of query times
+RUN_TIMES = QUERY_TIMES + [-0.0]
 
 
-@settings(max_examples=150, deadline=None)
-@given(st.data())
-def test_index_queries_match_linear_scan(data):
-    # tie-heavy graphs on times 0..6, possibly empty; the last node takes
-    # part in no edge, so it is queried with no events at all
+def draw_tie_heavy_graph(data):
+    """(n_nodes, src, dst, t) on times 0..6, possibly empty.
+
+    The last node takes part in no edge, so it is queried with no events
+    at all.
+    """
     n_nodes = data.draw(st.integers(2, 8), label="n_nodes")
     m = data.draw(st.integers(0, 40), label="m")
     ids = st.lists(st.integers(0, n_nodes - 2), min_size=m, max_size=m)
@@ -224,6 +228,13 @@ def test_index_queries_match_linear_scan(data):
     t = np.sort(np.array(
         data.draw(st.lists(st.integers(0, 6), min_size=m, max_size=m), label="t"),
         dtype=np.float64))
+    return n_nodes, src, dst, t
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.data())
+def test_index_queries_match_linear_scan(data):
+    n_nodes, src, dst, t = draw_tie_heavy_graph(data)
     index = build_index(src, dst, t, n_nodes)
     oracle = LinearScanOracle(src, dst, t)
     B = 24
@@ -250,6 +261,54 @@ def test_index_queries_match_linear_scan(data):
         want = oracle.last_activity(qn[b], qt[b])
         assert (int(has[b]), float(last_t[b])) == ((0, 0.0) if want is None else (1, want))
         assert counts[b] == oracle.repeat_count(qn[b], qd[b], qt[b])
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.data())
+def test_index_queries_in_runs_match_linear_scan(data):
+    # queries laid out as assemble_batch and pair_counts make them: each of
+    # B rows asks about C candidates at the row's one time, and consecutive
+    # rows may share a time, so runs of equal times span rows
+    n_nodes, src, dst, t = draw_tie_heavy_graph(data)
+    index = build_index(src, dst, t, n_nodes)
+    oracle = LinearScanOracle(src, dst, t)
+    B = data.draw(st.integers(0, 6), label="B")
+    C = data.draw(st.integers(1, 5), label="C")
+    src_q = np.array(data.draw(st.lists(st.integers(0, n_nodes - 1), min_size=B,
+                                        max_size=B), label="src_q"), dtype=np.int64)
+    cand = np.array(data.draw(st.lists(st.integers(0, n_nodes - 1), min_size=B * C,
+                                       max_size=B * C), label="cand"),
+                    dtype=np.int64).reshape(B, C)
+    t_q = np.array(data.draw(st.lists(st.sampled_from(RUN_TIMES), min_size=B,
+                                      max_size=B), label="t_q"))
+
+    last_t, has = index.last_activity_batch(cand.ravel(), np.repeat(t_q, C))
+    counts = pair_counts(index, src_q, t_q, cand)
+    assert counts.shape == (B, C) and last_t.shape == has.shape == (B * C,)
+    for b in range(B):
+        for c in range(C):
+            want = oracle.last_activity(cand[b, c], t_q[b])
+            got = (int(has[b * C + c]), float(last_t[b * C + c]))
+            assert got == ((0, 0.0) if want is None else (1, want))
+            assert counts[b, c] == oracle.repeat_count(src_q[b], cand[b, c], t_q[b])
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.data())
+def test_sorted_search_equals_searchsorted(data):
+    # small value range, so needles repeat and hit keys and both ends exactly
+    values = st.integers(-3, 12)
+    keys = np.sort(np.array(data.draw(st.lists(values, max_size=30), label="keys"),
+                            dtype=np.int64))
+    ends = [int(keys[0]), int(keys[-1])] if keys.size else []
+    needles = np.array(data.draw(st.lists(values | st.sampled_from(ends or [0]),
+                                          max_size=40), label="needles"),
+                       dtype=np.int64)
+    if data.draw(st.booleans(), label="presorted"):
+        needles = np.sort(needles)
+    got = sorted_search(keys, needles)
+    assert got.dtype == np.intp
+    assert got.tolist() == np.searchsorted(keys, needles).tolist()
 
 
 @settings(max_examples=40, deadline=None)
