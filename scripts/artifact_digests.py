@@ -1,5 +1,5 @@
 #!/usr/bin/env python3
-"""Print one sha256 per artifact of two fixed training runs in a checkout.
+"""Print one sha256 per artifact of two fixed workloads run in a checkout.
 
     python3 scripts/artifact_digests.py CHECKOUT
 
@@ -12,10 +12,13 @@ directory, on two workloads and in both precisions:
     of them to one of five favourites of their source, times uniform on
     [0, 1e4); dim 32, k 10, batch 200, lr 3e-3, 5 epochs, seed 3, q 20.
 
-Each run ingests, trains, then ranks the test split with the model and
-with EdgeBank. The script prints the sha256 of the bundle, every
-`model.bin` and every negative cache, and of the `metrics.jsonl` rows
-and every report as canonical JSON with `wall_ms` removed, the one field
+Each workload runs every command that writes an artifact: it ingests,
+writes the split manifest, trains and ranks the test split with the
+model in both precisions, ranks it with EdgeBank, and runs the ablation
+(single precision, the only one `ablate` runs). The script prints the
+sha256 of the bundle, every `model.bin` and every negative cache, and of
+the `metrics.jsonl` rows, the split manifest, the ablation results and
+every report as canonical JSON with `wall_ms` removed, the one field
 that measures the host. Two checkouts that give the same output give the
 same results on both workloads, so comparing a change with its parent is
 one run per checkout and a `diff`. The events come from numpy's seeded
@@ -101,14 +104,16 @@ def run_workload(cli, work, events, seed, config):
         "".join(f"{s} {d} {tt}\n" for s, d, tt in zip(src, dst, t)))
     (work / "config.json").write_text(json.dumps(config))
     cli("ingest", "--input", work / "events.csv", "--out", work / "events.bin")
-    common = ["--bundle", work / "events.bin", "--config", work / "config.json",
-              "--seed", str(seed)]
+    bundle = ["--bundle", work / "events.bin", "--config", work / "config.json"]
+    cli("split", *bundle, "--out", work / "split.json")
+    common = [*bundle, "--seed", str(seed)]
     for precision in ("single", "double"):
         out = work / precision
         cli("train", *common, "--precision", precision, "--out", out)
         cli("evaluate", *common, "--model", out / "model.bin",
             "--out", out / "test_report.json")
     cli("evaluate", *common, "--edgebank", "--out", work / "edgebank_report.json")
+    cli("ablate", *common, "--out", work / "ablation" / "ablation.json")
 
 
 def main(argv=None):

@@ -5,9 +5,7 @@ Two claims get measured: history extraction is logarithmic in node degree
 linearly with the number of candidates.
 """
 
-import csv
 import time
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -16,21 +14,9 @@ from .data import assemble_batch
 from .model import Model, ModelConfig
 from .store import build_index
 
-CSV_COLUMNS = ["knob", "value", "mean_ns", "p50_ns", "p95_ns", "repeats"]
 
-
-@dataclass
-class BenchRow:
-    knob: str
-    value: float
-    mean_ns: float
-    p50_ns: float
-    p95_ns: float
-    repeats: int
-
-
-def time_callable(fn, repeats=9, warmup=2):
-    """Wall-time samples of fn() in nanoseconds: (mean, p50, p95)."""
+def median_ns(fn, repeats=9, warmup=2):
+    """Median wall time of fn() in nanoseconds, after `warmup` untimed calls."""
     for _ in range(warmup):
         fn()
     samples = np.empty(repeats)
@@ -38,16 +24,7 @@ def time_callable(fn, repeats=9, warmup=2):
         t0 = time.perf_counter_ns()
         fn()
         samples[i] = time.perf_counter_ns() - t0
-    return float(samples.mean()), float(np.percentile(samples, 50)), float(
-        np.percentile(samples, 95))
-
-
-def write_csv(path, rows):
-    with open(path, "w", newline="") as f:
-        w = csv.writer(f)
-        w.writerow(CSV_COLUMNS)
-        for r in rows:
-            w.writerow([r.knob, r.value, r.mean_ns, r.p50_ns, r.p95_ns, r.repeats])
+    return float(np.median(samples))
 
 
 def loglog_slope(values, times):
@@ -71,24 +48,19 @@ def bench_extraction(degrees=(1_000, 1_000_000), k=30, n_queries=5000,
 
     The claim under test: cost per query grows with log(degree), so the
     ratio between the two ends of the grid stays far below the degree
-    ratio itself.
+    ratio itself. Returns {degree: median ns per query}.
     """
-    if k < 1:
-        raise ValueError(f"k must be >= 1, got {k}")
     rng = np.random.default_rng(seed)
-    rows = []
+    per_query = {}
     for degree in degrees:
         index = _single_hub_index(int(degree), seed=seed)
         nodes = np.zeros(n_queries, dtype=np.int64)
         times = rng.uniform(0, 1e6, n_queries)
-        mean, p50, p95 = time_callable(
+        per_query[degree] = median_ns(
             lambda: index.recent_neighbors_batch(nodes, times, k),
             repeats=repeats,
-        )
-        rows.append(BenchRow("extraction_degree", float(degree),
-                             mean / n_queries, p50 / n_queries,
-                             p95 / n_queries, repeats))
-    return rows
+        ) / n_queries
+    return per_query
 
 
 def bench_scoring(q_grid=(128, 256, 512, 1024, 2048), k=8, dim=16, B=8,
@@ -97,10 +69,8 @@ def bench_scoring(q_grid=(128, 256, 512, 1024, 2048), k=8, dim=16, B=8,
 
     Small k keeps the per-candidate term dominant, so measured time should
     scale close to linearly in q. The forward runs under `no_grad()`, as
-    every ranking path does.
+    every ranking path does. Returns {q: median ns per forward}.
     """
-    if k < 1:
-        raise ValueError(f"k must be >= 1, got {k}")
     if min(q_grid) < 1:
         raise ValueError("candidate counts must be >= 1")
     rng = np.random.default_rng(seed)
@@ -114,31 +84,25 @@ def bench_scoring(q_grid=(128, 256, 512, 1024, 2048), k=8, dim=16, B=8,
     model = Model(cfg, seed=seed)
     q_src = rng.integers(0, n_nodes, B)
     q_t = rng.uniform(5e4, 1e5, B)
-    rows = []
+    per_forward = {}
     for q in q_grid:
         cand = rng.integers(0, n_nodes, (B, 1 + q))
         batch = assemble_batch(index, q_src, q_t, cand, k)
         with no_grad():
-            mean, p50, p95 = time_callable(lambda: model.score(batch),
-                                           repeats=repeats)
-        rows.append(BenchRow("scoring_candidates", float(q), mean, p50, p95,
-                             repeats))
-    return rows
+            per_forward[q] = median_ns(lambda: model.score(batch),
+                                       repeats=repeats)
+    return per_forward
 
 
-def extraction_ratio(rows):
+def extraction_ratio(per_query):
     """Median-time ratio between the largest and smallest degree measured.
 
     Medians, not means: one scheduler stall in a sub-millisecond timing
     would otherwise move the ratio several-fold.
     """
-    by_degree = {r.value: r.p50_ns for r in rows
-                 if r.knob == "extraction_degree"}
-    lo, hi = min(by_degree), max(by_degree)
-    return by_degree[hi] / by_degree[lo]
+    return per_query[max(per_query)] / per_query[min(per_query)]
 
 
-def scoring_slope(rows):
+def scoring_slope(per_forward):
     """Log-log slope of median scoring time against the candidate count."""
-    pts = [(r.value, r.p50_ns) for r in rows if r.knob == "scoring_candidates"]
-    return loglog_slope([p[0] for p in pts], [p[1] for p in pts])
+    return loglog_slope(list(per_forward), list(per_forward.values()))

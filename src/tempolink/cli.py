@@ -1,6 +1,6 @@
 """Command-line interface.
 
-Subcommands: ingest, split, train, evaluate, ablate, bench. Every
+Subcommands: ingest, split, train, evaluate, ablate. Every
 command that involves randomness requires an explicit --seed; there is
 no hidden default, so two invocations with the same arguments produce
 the same artifacts.
@@ -18,13 +18,6 @@ import numpy as np
 
 from .ablation import run_ablation, save_ablation
 from .array_io import read_digest
-from .bench import (
-    bench_extraction,
-    bench_scoring,
-    extraction_ratio,
-    scoring_slope,
-    write_csv,
-)
 from .data import (
     SplitSpec,
     chronological_split,
@@ -214,22 +207,6 @@ def cmd_ablate(args):
     return 0
 
 
-def cmd_bench(args):
-    rows = []
-    if args.suite in ("extraction", "all"):
-        ext = bench_extraction(seed=args.seed)
-        rows += ext
-        print(f"extraction time ratio (1e6 vs 1e3 degree): "
-              f"{extraction_ratio(ext):.2f}")
-    if args.suite in ("scoring", "all"):
-        sc = bench_scoring(seed=args.seed)
-        rows += sc
-        print(f"scoring log-log slope vs candidates: {scoring_slope(sc):.3f}")
-    write_csv(args.out, rows)
-    print(f"wrote {args.out} ({len(rows)} rows)")
-    return 0
-
-
 def build_parser():
     p = argparse.ArgumentParser(prog="tempolink",
                                 description="temporal link prediction engine")
@@ -278,19 +255,14 @@ def build_parser():
     sp.add_argument("--verbose", action="store_true")
     sp.set_defaults(fn=cmd_ablate)
 
-    sp = sub.add_parser("bench", help="run the complexity microbenchmarks")
-    sp.add_argument("--suite", choices=["extraction", "scoring", "all"],
-                    default="all")
-    sp.add_argument("--seed", type=int, default=0)
-    sp.add_argument("--out", required=True)
-    sp.set_defaults(fn=cmd_bench)
-
     return p
 
 
 def main(argv=None):
     args = build_parser().parse_args(argv)
     try:
+        if hasattr(args, "seed"):
+            require_int("--seed", args.seed, 0)
         return args.fn(args)
     except (ValueError, RuntimeError, OSError) as e:
         print(f"error: {e}", file=sys.stderr)

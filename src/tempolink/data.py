@@ -122,7 +122,7 @@ def sample_negatives(pool, pool_set, excluded, q, rng):
     n_eligible = len(pool_set) - len(excl)
     if n_eligible < q:
         raise ValueError(
-            f"need {q} negatives but only {n_eligible} eligible candidates"
+            f"need q = {q} negatives but only {n_eligible} candidates are eligible"
         )
     if n_eligible < 4 * q:
         eligible = np.array(sorted(pool_set - excl), dtype=np.int64)
@@ -158,7 +158,10 @@ def eval_negatives(src, dst, t, sl, pool, q, seed, bipartite=False):
         if not bipartite:
             excluded.append(s)
         rng = rng_for(seed, "eval-neg", i)
-        out[j] = sample_negatives(pool, pool_set, excluded, q, rng)
+        try:
+            out[j] = sample_negatives(pool, pool_set, excluded, q, rng)
+        except ValueError as e:
+            raise ValueError(f"edge {i}: {e}") from None
     return out
 
 

@@ -1,20 +1,15 @@
-"""Benchmark harness: schema, guards, and the timing helpers."""
-
-import csv
+"""Complexity microbenchmarks: guards, the timing helper and the fits."""
 
 import numpy as np
 import pytest
 
 from tempolink.bench import (
-    BenchRow,
-    CSV_COLUMNS,
     bench_extraction,
     bench_scoring,
     extraction_ratio,
     loglog_slope,
+    median_ns,
     scoring_slope,
-    time_callable,
-    write_csv,
 )
 from tempolink.model import Model
 
@@ -28,13 +23,13 @@ def test_zero_k_rejected():
         bench_scoring(q_grid=(0, 4))
 
 
-def test_time_callable_orders_workloads():
+def test_median_ns_orders_workloads():
     light = lambda: np.arange(10).sum()
     heavy = lambda: np.sort(np.random.default_rng(0).standard_normal(200_000))
-    lm, lp50, lp95 = time_callable(light, repeats=5)
-    hm, hp50, hp95 = time_callable(heavy, repeats=5)
-    assert 0 < lm and lp50 <= lp95
-    assert hm > 3 * lm
+    light_ns = median_ns(light, repeats=5)
+    heavy_ns = median_ns(heavy, repeats=5)
+    assert 0 < light_ns
+    assert heavy_ns > 3 * light_ns
 
 
 def test_loglog_slope_recovers_exponents():
@@ -44,35 +39,19 @@ def test_loglog_slope_recovers_exponents():
     assert loglog_slope(xs, [5.0] * 4) == pytest.approx(0.0, abs=1e-9)
 
 
-def test_csv_schema_roundtrip(tmp_path):
-    rows = [
-        BenchRow("extraction_degree", 1e3, 120.5, 118.0, 140.0, 9),
-        BenchRow("scoring_candidates", 128, 3.3e6, 3.2e6, 3.6e6, 7),
-    ]
-    path = tmp_path / "bench.csv"
-    write_csv(path, rows)
-    with open(path) as f:
-        got = list(csv.reader(f))
-    assert got[0] == CSV_COLUMNS
-    assert len(got) == 3
-    assert got[1][0] == "extraction_degree"
-    assert float(got[2][1]) == 128
-
-
 def test_extraction_bench_small_grid():
-    rows = bench_extraction(degrees=(1_000, 8_000), k=8, n_queries=500,
-                            repeats=3)
-    assert [r.value for r in rows] == [1000.0, 8000.0]
-    for r in rows:
-        assert r.mean_ns > 0 and r.p50_ns <= r.p95_ns * 1.0001
+    per_query = bench_extraction(degrees=(1_000, 8_000), k=8, n_queries=500,
+                                 repeats=3)
+    assert list(per_query) == [1000, 8000]
+    assert all(ns > 0 for ns in per_query.values())
     # 8x the degree must come nowhere near 8x the lookup cost
-    assert extraction_ratio(rows) < 8
+    assert extraction_ratio(per_query) < 8
 
 
 def test_scoring_bench_small_grid():
-    rows = bench_scoring(q_grid=(8, 32), k=4, dim=16, B=4, repeats=3)
-    assert [r.value for r in rows] == [8.0, 32.0]
-    slope = scoring_slope(rows)
+    per_forward = bench_scoring(q_grid=(8, 32), k=4, dim=16, B=4, repeats=3)
+    assert list(per_forward) == [8, 32]
+    slope = scoring_slope(per_forward)
     assert -0.5 < slope < 2.0  # tiny grid: only sanity, the real check is wider
 
 

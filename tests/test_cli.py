@@ -3,6 +3,7 @@
 import copy
 import json
 import hashlib
+import re
 import shutil
 
 import numpy as np
@@ -326,12 +327,43 @@ def test_ablate_command(tmp_path, tiny_config):
     assert set(results) == {"base", "no_positional", "no_elapsed", "no_repeat"}
 
 
-def test_bench_command_writes_csv(tmp_path):
-    out = tmp_path / "bench.csv"
-    code = main(["bench", "--suite", "scoring", "--out", str(out)])
-    assert code == 0
-    header = out.read_text().splitlines()[0]
-    assert header == "knob,value,mean_ns,p50_ns,p95_ns,repeats"
+@pytest.mark.parametrize("command", ["train", "evaluate", "ablate"])
+def test_negative_seed_is_an_error_line_and_writes_nothing(
+        tmp_path, tiny_config, capsys, command):
+    bundle = make_bundle(tmp_path)
+    run = tmp_path / "run"
+    out = run if command == "train" else run / "report.json"
+    extra = ["--edgebank"] if command == "evaluate" else []
+    capsys.readouterr()
+    code = main([command, *extra, "--bundle", str(bundle), "--config",
+                 str(tiny_config), "--seed", "-1", "--out", str(out)])
+    assert code == 1
+    assert capsys.readouterr().err == \
+        "error: --seed must be an integer >= 0, got -1\n"
+    assert not run.exists()
+
+
+@pytest.mark.parametrize("command", ["train", "evaluate"])
+def test_too_large_q_names_the_edge_and_q(tmp_path, capsys, command):
+    bundle = make_bundle(tmp_path)
+    cfg = copy.deepcopy(TINY)
+    path = tmp_path / "big_q.json"
+    if command == "train":
+        cfg["q_eval"] = 100
+        argv = ["train", "--out", str(tmp_path / "run")]
+        first_row = 280  # the 400 edges split 280 / 60 / 60: val starts here
+    else:
+        argv = ["evaluate", "--edgebank", "--q", "100",
+                "--out", str(tmp_path / "run" / "report.json")]
+        first_row = 340  # the test split
+    path.write_text(json.dumps(cfg))
+    capsys.readouterr()
+    code = main(argv + ["--bundle", str(bundle), "--config", str(path),
+                        "--seed", "1"])
+    assert code == 1
+    err = capsys.readouterr().err
+    assert re.fullmatch(rf"error: edge {first_row}: need q = 100 negatives but "
+                        r"only \d+ candidates are eligible\n", err), err
 
 
 def test_seed_is_mandatory_for_train(tmp_path):
