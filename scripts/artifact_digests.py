@@ -15,14 +15,18 @@ directory, on two workloads and in both precisions:
 Each workload runs every command that writes an artifact: it ingests,
 writes the split manifest, trains and ranks the test split with the
 model in both precisions, ranks it with EdgeBank, and runs the ablation
-(single precision, the only one `ablate` runs). The script prints the
-sha256 of the bundle, every `model.bin` and every negative cache, and of
-the `metrics.jsonl` rows, the split manifest, the ablation results and
-every report as canonical JSON with `wall_ms` removed, the one field
-that measures the host. Two checkouts that give the same output give the
-same results on both workloads, so comparing a change with its parent is
-one run per checkout and a `diff`. The events come from numpy's seeded
-generator in this process, so both checkouts see the same input.
+(single precision, the only one `ablate` runs). In each precision it
+also ranks the val split again with `evaluate`, which reads the val
+negatives that `train` cached, and stops unless that report matches
+`val_report.json` on every field but the timing and the config. The
+script prints the sha256 of the bundle, every `model.bin` and every
+negative cache, and of the `metrics.jsonl` rows, the split manifest, the
+ablation results and every report as canonical JSON with `wall_ms`
+removed, the one field that measures the host. Two checkouts that give
+the same output give the same results on both workloads, so comparing a
+change with its parent is one run per checkout and a `diff`. The events
+come from numpy's seeded generator in this process, so both checkouts
+see the same input.
 """
 
 import argparse
@@ -112,6 +116,14 @@ def run_workload(cli, work, events, seed, config):
         cli("train", *common, "--precision", precision, "--out", out)
         cli("evaluate", *common, "--model", out / "model.bin",
             "--out", out / "test_report.json")
+        cli("evaluate", *common, "--model", out / "model.bin", "--split", "val",
+            "--out", out / "val_eval_report.json")
+        reports = [json.loads((out / name).read_text())
+                   for name in ("val_report.json", "val_eval_report.json")]
+        for r in reports:
+            del r["wall_ms"], r["config"]
+        if reports[0] != reports[1]:
+            sys.exit(f"{out}: evaluate --split val differs from val_report.json")
     cli("evaluate", *common, "--edgebank", "--out", work / "edgebank_report.json")
     cli("ablate", *common, "--out", work / "ablation" / "ablation.json")
 

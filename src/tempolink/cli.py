@@ -77,31 +77,34 @@ def _load(args):
     )
 
 
-def _negatives(run, out_dir, split, q, seed):
-    """Fixed negative sets for an eval split of `run`, cached beside the outputs.
+def _negatives(run, out_dir, q, seed, *splits):
+    """Fixed negative sets for eval splits of `run`, cached in `out_dir`.
 
     The cache is keyed on every input of `eval_negatives`: the sha256 the
     bundle records (which covers the edges and bipartiteness), the split's rows,
     the candidate pool, q and the seed. A cache built from other inputs
-    fails loudly instead of being reused.
+    fails loudly instead of being reused. Every set is loaded or sampled
+    before `out_dir` is created, so a failure leaves no directory behind.
     """
-    sl = run.splits.slices()[split]
-    path = Path(out_dir) / f"negatives_{split}_seed{seed}_q{q}.bin"
-    key = {
-        "seed": seed,
-        "q": q,
-        "bundle_sha256": run.bundle_sha256,
-        "start": int(sl.start),
-        "stop": int(sl.stop),
-        "pool_sha256": hashlib.sha256(
-            np.ascontiguousarray(run.pool, dtype=np.int64).tobytes()).hexdigest(),
-    }
-    if path.exists():
-        return load_negatives(path, **key)
-    negs = eval_negatives(run.src, run.dst, run.t, sl, run.pool, q, seed,
-                          run.meta.bipartite)
-    save_negatives(path, negs, **key)
-    return negs
+    pool_sha256 = hashlib.sha256(
+        np.ascontiguousarray(run.pool, dtype=np.int64).tobytes()).hexdigest()
+    found, fresh = [], []
+    for split in splits:
+        sl = run.splits.slices()[split]
+        path = Path(out_dir) / f"negatives_{split}_seed{seed}_q{q}.bin"
+        key = {"seed": seed, "q": q, "bundle_sha256": run.bundle_sha256,
+               "start": int(sl.start), "stop": int(sl.stop),
+               "pool_sha256": pool_sha256}
+        if path.exists():
+            found.append(load_negatives(path, **key))
+            continue
+        found.append(eval_negatives(run.src, run.dst, run.t, sl, run.pool, q,
+                                    seed, run.meta.bipartite))
+        fresh.append((path, found[-1], key))
+    Path(out_dir).mkdir(parents=True, exist_ok=True)
+    for path, negs, key in fresh:
+        save_negatives(path, negs, **key)
+    return found
 
 
 def cmd_ingest(args):
@@ -131,10 +134,9 @@ def cmd_split(args):
 def cmd_train(args):
     run = _load(args)
     out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
     dtype = np.float64 if args.precision == "double" else np.float32
 
-    val_negs = _negatives(run, out, "val", run.q_eval, args.seed)
+    [val_negs] = _negatives(run, out, run.q_eval, args.seed, "val")
     model = Model(run.cfg, seed=args.seed, dtype=dtype)
     best, history = train(
         model, run.index, run.src, run.dst, run.t, run.splits, run.pool,
@@ -160,7 +162,6 @@ def cmd_train(args):
 def cmd_evaluate(args):
     run = _load(args)
     out = Path(args.out)
-    out.parent.mkdir(parents=True, exist_ok=True)
 
     model = None
     if not args.edgebank:
@@ -174,7 +175,7 @@ def cmd_evaluate(args):
             )
 
     q = run.q_eval if args.q is None else require_int("--q", args.q, 1)
-    negs = _negatives(run, out.parent, args.split, q, args.seed)
+    [negs] = _negatives(run, out.parent, q, args.seed, args.split)
     sl = run.splits.slices()[args.split]
     config = {"scorer": "edgebank" if args.edgebank else "model",
               "split": args.split, "seed": args.seed, "q": q}
@@ -193,10 +194,9 @@ def cmd_evaluate(args):
 def cmd_ablate(args):
     run = _load(args)
     out = Path(args.out)
-    out.parent.mkdir(parents=True, exist_ok=True)
 
-    val_negs = _negatives(run, out.parent, "val", run.q_eval, args.seed)
-    test_negs = _negatives(run, out.parent, "test", run.q_eval, args.seed)
+    val_negs, test_negs = _negatives(run, out.parent, run.q_eval, args.seed,
+                                     "val", "test")
     results = run_ablation(run.cfg, run.tcfg, run.index, run.src, run.dst,
                            run.t, run.splits, run.pool, args.seed, val_negs,
                            test_negs, bipartite=run.meta.bipartite,

@@ -91,20 +91,19 @@ def chronological_split(m: int, spec: SplitSpec = SplitSpec()) -> Splits:
 # -- negative sampling --------------------------------------------------------
 
 
-def same_time_partners(src, dst, t, rows=None):
+def same_time_partners(src, dst, t, rows):
     """Map (src, exact t) -> destination ids sharing that timestamp.
 
     Edges at the query's own timestamp are invisible to the model but are
-    still true positives, so they are never valid negatives. Given `rows`,
-    a slice of the time-sorted edges, only the edges inside those rows'
-    time span are walked; every key those rows look up keeps its full list.
+    still true positives, so they are never valid negatives. Only the edges
+    inside the time span of `rows`, a slice of the time-sorted edges, are
+    walked; every key those rows look up keeps its full list.
     """
-    if rows is not None:
-        lo = hi = 0
-        if rows.stop > rows.start:
-            lo = np.searchsorted(t, t[rows.start], "left")
-            hi = np.searchsorted(t, t[rows.stop - 1], "right")
-        src, dst, t = src[lo:hi], dst[lo:hi], t[lo:hi]
+    lo = hi = 0
+    if rows.stop > rows.start:
+        lo = np.searchsorted(t, t[rows.start], "left")
+        hi = np.searchsorted(t, t[rows.stop - 1], "right")
+    src, dst, t = src[lo:hi], dst[lo:hi], t[lo:hi]
     table = {}
     for s, d, tt in zip(src.tolist(), dst.tolist(), t.tolist()):
         table.setdefault((s, tt), []).append(d)
@@ -195,45 +194,45 @@ def load_negatives(path, **key):
     return negs
 
 
-def train_negatives(src, dst, t, train_end, pool, seed, epoch, bipartite=False):
+def _excluded(index: NeighborIndex, srcs, cands, times, bipartite):
+    """True where a candidate may not be a negative of its (source, time).
+
+    Either the pair has an event at exactly that time (the row's positive
+    does), or the graph is not bipartite and the candidate is the source.
+    """
+    bad = (index.repeat_count_batch(srcs, cands, np.nextafter(times, np.inf))
+           > index.repeat_count_batch(srcs, cands, times))
+    if not bipartite:
+        bad |= cands == srcs
+    return bad
+
+
+def train_negatives(index: NeighborIndex, src, t, train_end, pool, seed, epoch,
+                    bipartite=False):
     """One fresh negative per training edge, reseeded every epoch.
 
     Vectorized rejection: draw for every row at once, then redraw only the
-    rows that collided with the positive, the source, or a same-timestamp
-    partner of the source.
+    rows whose draw `_excluded` rejects. `index` must hold every edge at
+    the training times; `build_index` over the whole bundle does.
     """
-    partners = same_time_partners(src, dst, t, rows=slice(0, train_end))
     rng = rng_for(seed, "train-neg", epoch)
-    s_tr = src[:train_end]
-    d_tr = dst[:train_end]
-    # rows whose source has several edges at the same timestamp need the
-    # full partner set; for everyone else the positive itself is the set
-    multi = {
-        i: frozenset(partners[(int(s_tr[i]), float(t[i]))])
-        for i in range(train_end)
-        if len(partners[(int(s_tr[i]), float(t[i]))]) > 1
-    }
     out = pool[rng.integers(0, len(pool), size=train_end)]
+    rows = np.arange(train_end)
     for _ in range(64):
-        bad = out == d_tr
-        if not bipartite:
-            bad |= out == s_tr
-        for i, ps in multi.items():
-            if int(out[i]) in ps:
-                bad[i] = True
-        n_bad = int(bad.sum())
-        if n_bad == 0:
+        rows = rows[_excluded(index, src[rows], out[rows], t[rows], bipartite)]
+        if rows.size == 0:
             return out
-        out[bad] = pool[rng.integers(0, len(pool), size=n_bad)]
-    # pathological pools (nearly everything excluded): finish row by row,
-    # rebuilding the collision mask since the loop exited after a redraw
+        out[rows] = pool[rng.integers(0, len(pool), size=rows.size)]
+    # pathological pools (nearly everything excluded): finish row by row
+    rows = rows[_excluded(index, src[rows], out[rows], t[rows], bipartite)]
     pool_set = set(pool.tolist())
-    for i in range(train_end):
-        excluded = set(partners[(int(s_tr[i]), float(t[i]))])
-        if not bipartite:
-            excluded.add(int(s_tr[i]))
-        if int(out[i]) in excluded:
+    for i in rows.tolist():
+        excluded = pool[_excluded(index, np.full(pool.size, src[i]), pool,
+                                  np.full(pool.size, t[i]), bipartite)]
+        try:
             out[i] = sample_negatives(pool, pool_set, excluded, 1, rng)[0]
+        except ValueError as e:
+            raise ValueError(f"edge {i}: {e}") from None
     return out
 
 

@@ -41,7 +41,7 @@ def train_epoch(model, opt, index, src, dst, t, train_end, pool, seed, epoch,
     every batch's dropout stream keyed by (seed, epoch, step) so a rerun
     with the same seed replays the identical sequence.
     """
-    negs = train_negatives(src, dst, t, train_end, pool, seed, epoch, bipartite)
+    negs = train_negatives(index, src, t, train_end, pool, seed, epoch, bipartite)
     order = shuffle_order(train_end, seed, epoch)
     loss_fn = bpr_loss if tcfg.loss == "bpr" else bce_loss
     total, n_rows, skipped = 0.0, 0, 0

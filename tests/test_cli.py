@@ -366,6 +366,30 @@ def test_too_large_q_names_the_edge_and_q(tmp_path, capsys, command):
                         r"only \d+ candidates are eligible\n", err), err
 
 
+@pytest.mark.parametrize("command", ["train", "ablate", "evaluate"])
+def test_failed_command_leaves_no_directory(tmp_path, capsys, command):
+    # q = 100 is past every row's eligible candidates, and the evaluate
+    # checkpoint does not exist: both are found before anything is written
+    bundle = make_bundle(tmp_path)
+    cfg = copy.deepcopy(TINY)
+    cfg["q_eval"] = 100
+    path = tmp_path / "big_q.json"
+    path.write_text(json.dumps(cfg))
+    run = tmp_path / "run"
+    argv = {
+        "train": ["train", "--out", str(run)],
+        "ablate": ["ablate", "--out", str(run / "ablation.json")],
+        "evaluate": ["evaluate", "--model", str(tmp_path / "nope.bin"),
+                     "--out", str(run / "report.json")],
+    }[command]
+    capsys.readouterr()
+    code = main(argv + ["--bundle", str(bundle), "--config", str(path),
+                        "--seed", "1"])
+    assert code == 1
+    assert capsys.readouterr().err.startswith("error: ")
+    assert not run.exists()
+
+
 def test_seed_is_mandatory_for_train(tmp_path):
     with pytest.raises(SystemExit) as e:
         main(["train", "--bundle", "x", "--out", "y"])

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from oracles import LinearScanOracle, random_graph
+from tempolink import data
 from tempolink.array_io import load_arrays, read_digest, save_arrays
 from tempolink.data import (
     SplitSpec,
@@ -112,7 +113,7 @@ def test_eval_negatives_exclusions_and_determinism():
     src, dst, t = random_graph(rng, n_nodes=40, n_edges=800, t_scale=50.0)
     pool = np.arange(40, dtype=np.int64)
     sl = slice(600, 800)
-    partners = same_time_partners(src, dst, t)
+    partners = same_time_partners(src, dst, t, slice(0, len(src)))
     negs = eval_negatives(src, dst, t, sl, pool, q=20, seed=9)
     assert negs.shape == (200, 20)
     for j, i in enumerate(range(600, 800)):
@@ -130,7 +131,7 @@ def test_partners_in_row_span_match_the_full_table():
     rng = np.random.default_rng(8)
     # 900 edges on 30 distinct times: every row shares its time with others
     src, dst, t = random_graph(rng, n_nodes=12, n_edges=900, t_scale=7.5)
-    full = same_time_partners(src, dst, t)
+    full = same_time_partners(src, dst, t, slice(0, len(src)))
     for rows in (slice(0, 1), slice(0, 630), slice(630, 765), slice(765, 900),
                  slice(899, 900)):
         part = same_time_partners(src, dst, t, rows=rows)
@@ -170,10 +171,11 @@ def test_train_negatives_collision_free_and_epoch_fresh():
     rng = np.random.default_rng(5)
     src, dst, t = random_graph(rng, n_nodes=30, n_edges=1000, t_scale=40.0)
     pool = np.arange(30, dtype=np.int64)
-    partners = same_time_partners(src, dst, t)
-    e0 = train_negatives(src, dst, t, 700, pool, seed=1, epoch=0)
-    e0b = train_negatives(src, dst, t, 700, pool, seed=1, epoch=0)
-    e1 = train_negatives(src, dst, t, 700, pool, seed=1, epoch=1)
+    partners = same_time_partners(src, dst, t, slice(0, len(src)))
+    index = build_index(src, dst, t, 30)
+    e0 = train_negatives(index, src, t, 700, pool, seed=1, epoch=0)
+    e0b = train_negatives(index, src, t, 700, pool, seed=1, epoch=0)
+    e1 = train_negatives(index, src, t, 700, pool, seed=1, epoch=1)
     np.testing.assert_array_equal(e0, e0b)
     assert (e0 != e1).any()
     for i in range(700):
@@ -187,8 +189,43 @@ def test_train_negatives_tiny_pool_terminates():
     dst = np.array([1, 2, 0, 2], dtype=np.int64)
     t = np.array([1.0, 2.0, 3.0, 4.0])
     pool = np.arange(3, dtype=np.int64)
-    neg = train_negatives(src, dst, t, 4, pool, seed=0, epoch=0)
+    neg = train_negatives(build_index(src, dst, t, 3), src, t, 4, pool, seed=0,
+                          epoch=0)
     np.testing.assert_array_equal(neg, [2, 0, 1, 1])
+
+
+def test_train_negatives_fallback_finds_the_last_eligible_node(monkeypatch):
+    # source 0 links to 1..298 at t = 5, so 299 is each row's only negative;
+    # 64 rejection rounds find it with probability 0.19, so most rows reach
+    # the row-by-row fallback
+    src = np.zeros(298, dtype=np.int64)
+    dst = np.arange(1, 299, dtype=np.int64)
+    t = np.full(298, 5.0)
+    index = build_index(src, dst, t, 300)
+    pool = np.arange(300, dtype=np.int64)
+    calls = []
+
+    def spy(*args):
+        calls.append(args)
+        return sample_negatives(*args)
+
+    monkeypatch.setattr(data, "sample_negatives", spy)
+    for epoch in range(4):
+        neg = train_negatives(index, src, t, 298, pool, seed=2, epoch=epoch)
+        assert (neg == 299).all()
+    assert len(calls) > 4 * 150
+
+
+def test_train_negatives_names_an_edge_without_an_eligible_negative():
+    # edge 2: node 2 links to 0 and 1 at t = 3, and may not pick itself
+    src = np.array([0, 1, 2, 2], dtype=np.int64)
+    dst = np.array([1, 2, 0, 1], dtype=np.int64)
+    t = np.array([1.0, 2.0, 3.0, 3.0])
+    index = build_index(src, dst, t, 3)
+    with pytest.raises(ValueError, match="^edge 2: need q = 1 negatives but only "
+                                         "0 candidates are eligible$"):
+        train_negatives(index, src, t, 4, np.arange(3, dtype=np.int64),
+                        seed=0, epoch=0)
 
 
 def test_shuffle_order_is_uniform_permutation():
