@@ -1,5 +1,5 @@
 #!/usr/bin/env python3
-"""Print one sha256 per artifact of two fixed workloads run in a checkout.
+"""Print one sha256 per artifact of fixed workloads run in a checkout.
 
     python3 scripts/artifact_digests.py CHECKOUT
 
@@ -27,6 +27,11 @@ the same output give the same results on both workloads, so comparing a
 change with its parent is one run per checkout and a `diff`. The events
 come from numpy's seeded generator in this process, so both checkouts
 see the same input.
+
+Both workloads write integer ids separated by spaces. A third input,
+`ingest_csv`, is only ingested, plain and with `--bipartite`: a small
+comma-separated file with a header, blank lines, string ids, quoted
+fields and extra columns, the ingest paths the workloads never take.
 """
 
 import argparse
@@ -57,6 +62,20 @@ def repeat2_events():
                    rng.integers(0, n, m))
     return src, dst, np.sort(rng.uniform(0, 1e4, m))
 
+
+# the same name as source and destination, leading zeros, a quoted comma,
+# an extra column, blank lines (one of them CRLF) and tied times
+INGEST_CSV = (
+    "source,target,timestamp,weight\n"
+    "alice,bob,3,0.5\n"
+    "\n"
+    '"smith, j",alice,1.5,2\n'
+    "bob,bob,3,\n"
+    "007,7,2e0,x\r\n"
+    "\r\n"
+    '7,"say ""hi""",0.25,1,extra\n'
+    "alice , 007 ,3\n"
+)
 
 WORKLOADS = {
     "c10": (c10_events, 7, {
@@ -128,6 +147,14 @@ def run_workload(cli, work, events, seed, config):
     cli("ablate", *common, "--out", work / "ablation" / "ablation.json")
 
 
+def ingest_only(cli, work):
+    work.mkdir()
+    (work / "events.csv").write_bytes(INGEST_CSV.encode())
+    cli("ingest", "--input", work / "events.csv", "--out", work / "plain.bin")
+    cli("ingest", "--input", work / "events.csv", "--out", work / "bipartite.bin",
+        "--bipartite")
+
+
 def main(argv=None):
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     ap.add_argument("checkout", type=Path, help="repository root to run")
@@ -141,6 +168,7 @@ def main(argv=None):
     with tempfile.TemporaryDirectory() as tmp:
         for name, (events, seed, config) in WORKLOADS.items():
             run_workload(cli, Path(tmp) / name, events, seed, config)
+        ingest_only(cli, Path(tmp) / "ingest_csv")
         for artifact, digest in digests(Path(tmp)).items():
             print(f"{digest}  {artifact}")
 

@@ -15,16 +15,21 @@ from .model import Model, ModelConfig
 from .store import build_index
 
 
-def median_ns(fn, repeats=9, warmup=2):
-    """Median wall time of fn() in nanoseconds, after `warmup` untimed calls."""
+def min_ns(fn, repeats=9, warmup=2):
+    """Fastest wall time of fn() in nanoseconds, after `warmup` untimed calls.
+
+    The minimum, not the median: host load only adds time, so the fastest
+    repeat is the least disturbed one, and a single stalled repeat cannot
+    move it.
+    """
     for _ in range(warmup):
         fn()
-    samples = np.empty(repeats)
-    for i in range(repeats):
+    best = float("inf")
+    for _ in range(repeats):
         t0 = time.perf_counter_ns()
         fn()
-        samples[i] = time.perf_counter_ns() - t0
-    return float(np.median(samples))
+        best = min(best, time.perf_counter_ns() - t0)
+    return float(best)
 
 
 def loglog_slope(values, times):
@@ -48,7 +53,7 @@ def bench_extraction(degrees=(1_000, 1_000_000), k=30, n_queries=5000,
 
     The claim under test: cost per query grows with log(degree), so the
     ratio between the two ends of the grid stays far below the degree
-    ratio itself. Returns {degree: median ns per query}.
+    ratio itself. Returns {degree: fastest ns per query}.
     """
     rng = np.random.default_rng(seed)
     per_query = {}
@@ -56,7 +61,7 @@ def bench_extraction(degrees=(1_000, 1_000_000), k=30, n_queries=5000,
         index = _single_hub_index(int(degree), seed=seed)
         nodes = np.zeros(n_queries, dtype=np.int64)
         times = rng.uniform(0, 1e6, n_queries)
-        per_query[degree] = median_ns(
+        per_query[degree] = min_ns(
             lambda: index.recent_neighbors_batch(nodes, times, k),
             repeats=repeats,
         ) / n_queries
@@ -69,7 +74,7 @@ def bench_scoring(q_grid=(128, 256, 512, 1024, 2048), k=8, dim=16, B=8,
 
     Small k keeps the per-candidate term dominant, so measured time should
     scale close to linearly in q. The forward runs under `no_grad()`, as
-    every ranking path does. Returns {q: median ns per forward}.
+    every ranking path does. Returns {q: fastest ns per forward}.
     """
     if min(q_grid) < 1:
         raise ValueError("candidate counts must be >= 1")
@@ -89,20 +94,20 @@ def bench_scoring(q_grid=(128, 256, 512, 1024, 2048), k=8, dim=16, B=8,
         cand = rng.integers(0, n_nodes, (B, 1 + q))
         batch = assemble_batch(index, q_src, q_t, cand, k)
         with no_grad():
-            per_forward[q] = median_ns(lambda: model.score(batch),
-                                       repeats=repeats)
+            per_forward[q] = min_ns(lambda: model.score(batch),
+                                    repeats=repeats)
     return per_forward
 
 
 def extraction_ratio(per_query):
-    """Median-time ratio between the largest and smallest degree measured.
+    """Time ratio between the largest and smallest degree measured.
 
-    Medians, not means: one scheduler stall in a sub-millisecond timing
-    would otherwise move the ratio several-fold.
+    Fastest times, not means: one scheduler stall in a sub-millisecond
+    timing would otherwise move the ratio several-fold.
     """
     return per_query[max(per_query)] / per_query[min(per_query)]
 
 
 def scoring_slope(per_forward):
-    """Log-log slope of median scoring time against the candidate count."""
+    """Log-log slope of the fastest scoring time against the candidate count."""
     return loglog_slope(list(per_forward), list(per_forward.values()))

@@ -6,8 +6,11 @@ counts. Ingestion is deterministic, so re-running it on the same input
 reproduces the identical file, byte for byte.
 """
 
+import codecs
 import csv
-import itertools
+import io
+import re
+from pathlib import Path
 
 import numpy as np
 
@@ -16,45 +19,131 @@ from .store import GraphMeta, validate_edges
 
 BUNDLE_KIND = "tempolink-bundle"
 
+# 1 for the bytes str.split() splits on; of them only "\n" and "\r" end a line
+_SPACE = bytes(b in b"\t\n\x0b\x0c\r\x1c\x1d\x1e\x1f " for b in range(256))
+# UTF-8 forms of the other characters str.split() splits on
+_WIDE_SPACE = re.compile(b"|".join(
+    re.escape(c.encode()) for c in
+    "\x85\xa0\u1680\u2000\u2001\u2002\u2003\u2004\u2005\u2006\u2007"
+    "\u2008\u2009\u200a\u2028\u2029\u202f\u205f\u3000"))
+# _KEEP[n] keeps the low n bytes of a little-endian word; padding fills the rest
+_KEEP = np.array([(1 << 8 * n) - 1 for n in range(9)], dtype=np.uint64)
+_PAD = np.uint64(0x2020202020202020)
 
-def _rows(path):
-    """Yield (line number, (src, dst, t)) from a comma- or space-separated file.
 
-    Line numbers count from 1 and include blank and header lines, as an
-    editor shows them. Blank lines are skipped, extra columns dropped.
+def _line_at(data, pos):
+    """1-based line of byte offset pos; "\n", "\r\n" and a lone "\r" end lines."""
+    head = data[:pos]
+    return head.count(b"\n") + head.count(b"\r") - head.count(b"\r\n") + 1
+
+
+def _read(path):
+    """The file's bytes, checked to be UTF-8, without a leading byte-order mark."""
+    data = Path(path).read_bytes().removeprefix(codecs.BOM_UTF8)
+    if not data.isascii():
+        try:
+            data.decode("utf-8")
+        except UnicodeDecodeError as e:
+            raise ValueError(
+                f"{path}: line {_line_at(data, e.start)}: byte "
+                f"0x{data[e.start]:02x} is not UTF-8 ({e.reason})") from None
+    return data
+
+
+def _split_spaces(path, data):
+    """Rows of a whitespace-separated file; see `_split_csv` for the result."""
+    if not data.isascii():
+        data = _WIDE_SPACE.sub(b" ", data)
+    buf = np.frombuffer(data, dtype=np.uint8)
+    space = np.frombuffer(b"\x01" + data.translate(_SPACE) + b"\x01", dtype=bool)
+    edges = np.flatnonzero(space[1:] != space[:-1])
+    del space
+    starts, ends = edges[0::2], edges[1::2]
+    lone_cr = buf == 13
+    lone_cr[:-1] &= buf[1:] != 10
+    breaks = np.flatnonzero((buf == 10) | lone_cr)
+    del lone_cr
+    # rows start at the first token and at the first token past a line break
+    after = np.searchsorted(starts, breaks)
+    first = np.append(0, after)  # sorted, as after is
+    first = first[(np.diff(first, prepend=-1) > 0) & (first < starts.size)]
+    line = np.searchsorted(after, first, side="right") + 1
+    ncols = np.diff(first, append=starts.size)
+    short = np.flatnonzero(ncols < 3)
+    if short.size:
+        i, n = first[short[0]], ncols[short[0]]
+        row = [data[a:b].decode() for a, b in zip(starts[i:i + n], ends[i:i + n])]
+        raise ValueError(
+            f"{path}: line {line[short[0]]}: need at least 3 columns, got {row}")
+    cols = first[:, None] + np.arange(3)
+    return buf, starts[cols], ends[cols] - starts[cols], line
+
+
+def _split_csv(path, data):
+    """Rows of a comma-separated file, each field stripped of whitespace.
+
+    Returns (buf, start, length, line): the [m, 3] byte offsets and
+    lengths in buf of each row's first three fields, and each row's input
+    line, counted from 1. Blank lines give no row.
     """
-    with open(path, newline="") as f:
-        first = f.readline()
-        f.seek(0)
-        if "," in first:
-            reader = csv.reader(f)
-            numbered = ((reader.line_num, [c.strip() for c in row])
-                        for row in reader)
-        else:
-            numbered = enumerate((line.split() for line in f), 1)
-        for line, row in numbered:
-            if not row:
-                continue
-            if len(row) < 3:
-                raise ValueError(
-                    f"{path}: line {line}: need at least 3 columns, got {row}"
-                )
-            yield line, (row[0], row[1], row[2])
+    reader = csv.reader(io.StringIO(data.decode("utf-8"), newline=""))
+    fields, line = [], []
+    for row in reader:
+        if not row:
+            continue
+        row = [c.strip() for c in row]
+        if len(row) < 3:
+            raise ValueError(f"{path}: line {reader.line_num}: "
+                             f"need at least 3 columns, got {row}")
+        fields += row[:3]
+        line.append(reader.line_num)
+    joined = "".join(fields).encode()
+    # a str's length counts characters, which are bytes only in ASCII
+    sized = fields if joined.isascii() else map(str.encode, fields)
+    length = np.fromiter(map(len, sized), np.int64, len(fields)).reshape(-1, 3)
+    start = (np.cumsum(length) - length.ravel()).reshape(-1, 3)
+    return (np.frombuffer(joined, dtype=np.uint8), start, length,
+            np.array(line, dtype=np.int64))
 
 
-def _bad_row(path, i, problem):
-    """ValueError naming the input line of the i-th row `_rows` yields.
+def _words(buf, start, length, words):
+    """[n, words] little-endian uint64: each token's bytes padded with spaces.
 
-    The file is read again to find the line, so the common path keeps no
-    line numbers.
+    No token ends in whitespace, so equal rows mean equal tokens.
     """
-    line = next(itertools.islice(_rows(path), i, None))[0]
-    return ValueError(f"{path}: line {line}: {problem}")
+    tail = np.concatenate((buf, np.full(8 * words, 32, dtype=np.uint8)))
+    # the 8 bytes at every offset of tail, as one word
+    at = np.ndarray(buf.size + 8 * words - 7, "<u8", tail, strides=(1,))
+    out = np.empty((start.size, words), dtype="<u8")
+    for w in range(words):
+        keep = _KEEP[np.clip(length - 8 * w, 0, 8)]
+        out[:, w] = at[start + 8 * w] & keep | _PAD & ~keep
+    return out
 
 
-def _is_number(s):
+def _densify(buf, start, length, role):
+    """Dense ids for tokens, numbered by first appearance.
+
+    With a role per token (bipartite graphs), equal names in different
+    roles get different ids.
+    """
+    width = int(length.max(initial=0)) + (role is not None)
+    keys = _words(buf, start, length, -(-width // 8))
+    if role is not None:  # into the last byte, which is padding in every key
+        keys[:, -1] = keys[:, -1] & _KEEP[7] | role.astype("<u8") << 56
+    keys = keys.view("<u8" if keys.shape[1] == 1 else f"V{8 * keys.shape[1]}")
+    uniq, inv = np.unique(keys.ravel(), return_inverse=True)
+    first = np.full(uniq.size, inv.size)
+    np.minimum.at(first, inv, np.arange(inv.size))
+    rank = np.empty(uniq.size, dtype=np.int64)
+    rank[np.argsort(first)] = np.arange(uniq.size)
+    return rank[inv], uniq.size
+
+
+def _is_number(token):
+    """Whether float() reads the token's bytes, as numpy's cast does."""
     try:
-        float(s)
+        float(token)
         return True
     except ValueError:
         return False
@@ -63,46 +152,50 @@ def _is_number(s):
 def ingest(input_path, out_path, bipartite=False):
     """Convert a raw event file into a bundle at out_path.
 
+    The file is UTF-8; a leading byte-order mark is dropped. A comma in
+    its first line makes it comma-separated, else fields are split on
+    whitespace. Blank lines are skipped and columns past the third
+    dropped. A first row whose time is not a number is a header.
+
     Node ids may be arbitrary strings; they are densified in order of
     first appearance. On bipartite graphs sources and destinations get
     disjoint id ranges even when the raw names coincide. Events are
     sorted by timestamp with the input order breaking ties. A bad row
     raises ValueError naming its input line.
     """
-    rows = [row for _, row in _rows(input_path)]
+    data = _read(input_path)
+    split = _split_csv if b"," in re.match(rb"[^\r\n]*", data)[0] else _split_spaces
+    buf, start, length, line = split(input_path, data)
+
+    def token(i, col):
+        return bytes(buf[start[i, col]:start[i, col] + length[i, col]])
+
     # a first row whose time column is not a number is a header line
-    skip = int(bool(rows) and not _is_number(rows[0][2]))
-    m = len(rows) - skip
+    skip = int(line.size > 0 and not _is_number(token(0, 2)))
+    start, length, line = start[skip:], length[skip:], line[skip:]
+    m = line.size
     if m == 0:
         raise ValueError(f"{input_path}: no event rows")
 
-    ids = {}
-
-    def remap(name, role):
-        key = (role, name) if bipartite else name
-        if key not in ids:
-            ids[key] = len(ids)
-        return ids[key]
-
-    src = np.empty(m, dtype=np.int64)
-    dst = np.empty(m, dtype=np.int64)
-    t = np.empty(m, dtype=np.float64)
-    for i, (s, d, tt) in enumerate(rows[skip:]):
-        src[i] = remap(s, "s")
-        dst[i] = remap(d, "d")
-        try:
-            t[i] = float(tt)
-        except ValueError:
-            raise _bad_row(input_path, i + skip,
-                           f"timestamp {tt!r} is not a number") from None
+    role = np.tile(np.array([0, 1], dtype=np.uint8), m) if bipartite else None
+    ids, num_nodes = _densify(buf, start[:, :2].ravel(), length[:, :2].ravel(),
+                              role)
+    try:  # padded by at least one space, so numpy keeps a trailing NUL
+        words = int(length[:, 2].max()) // 8 + 1
+        tok = _words(buf, start[:, 2], length[:, 2], words)
+        t = tok.view(f"S{8 * words}").ravel().astype(np.float64)
+    except ValueError:
+        i = next(i for i in range(m) if not _is_number(token(i, 2)))
+        raise ValueError(f"{input_path}: line {line[i]}: timestamp "
+                         f"{token(i, 2).decode()!r} is not a number") from None
     bad = np.flatnonzero(~np.isfinite(t))
     if bad.size:  # checked before the sort, which would move the row
-        i = int(bad[0]) + skip
-        raise _bad_row(input_path, i, f"timestamp {rows[i][2]} is not finite")
+        i = int(bad[0])
+        raise ValueError(f"{input_path}: line {line[i]}: timestamp "
+                         f"{token(i, 2).decode()} is not finite")
 
     order = np.argsort(t, kind="stable")
-    src, dst, t = src[order], dst[order], t[order]
-    num_nodes = len(ids)
+    src, dst, t = ids[0::2][order], ids[1::2][order], t[order]
     validate_edges(src, dst, t, num_nodes)
 
     arrays = {"src": src, "dst": dst, "t": t}

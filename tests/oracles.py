@@ -4,7 +4,14 @@ Everything here trades speed for obviousness: linear scans, explicit
 loops, no shared state with the code under test.
 """
 
+import csv
+import itertools
+
 import numpy as np
+
+from tempolink.array_io import save_arrays
+from tempolink.dataset import BUNDLE_KIND
+from tempolink.store import validate_edges
 
 
 class LinearScanOracle:
@@ -113,3 +120,93 @@ def reference_scores(params, cfg, batch):
 def reference_bpr(scores):
     margins = scores[:, 0] - scores[:, 1]
     return float(np.mean(np.log1p(np.exp(-margins))))
+
+
+def _event_rows(path):
+    """Yield (line number, (src, dst, t)) from a comma- or space-separated file.
+
+    Line numbers count from 1 and include blank and header lines, as an
+    editor shows them. Blank lines are skipped, extra columns dropped.
+    """
+    with open(path, newline="", encoding="utf-8") as f:
+        first = f.readline()
+        f.seek(0)
+        if "," in first:
+            reader = csv.reader(f)
+            numbered = ((reader.line_num, [c.strip() for c in row])
+                        for row in reader)
+        else:
+            numbered = enumerate((line.split() for line in f), 1)
+        for line, row in numbered:
+            if not row:
+                continue
+            if len(row) < 3:
+                raise ValueError(
+                    f"{path}: line {line}: need at least 3 columns, got {row}"
+                )
+            yield line, (row[0], row[1], row[2])
+
+
+def _bad_event_row(path, i, problem):
+    line = next(itertools.islice(_event_rows(path), i, None))[0]
+    return ValueError(f"{path}: line {line}: {problem}")
+
+
+def _is_number(s):
+    try:
+        float(s)
+        return True
+    except ValueError:
+        return False
+
+
+def ingest_per_row(input_path, out_path, bipartite=False):
+    """`dataset.ingest` one row and one token at a time, with Python strings.
+
+    This is the ingest that shipped before the bulk tokenizer, reading
+    the file as UTF-8 whatever the locale. It keeps a leading byte-order
+    mark as part of the first token, and it reads timestamps with
+    `float(str)`, which also takes digits of other scripts.
+    """
+    rows = [row for _, row in _event_rows(input_path)]
+    skip = int(bool(rows) and not _is_number(rows[0][2]))
+    m = len(rows) - skip
+    if m == 0:
+        raise ValueError(f"{input_path}: no event rows")
+
+    ids = {}
+
+    def remap(name, role):
+        key = (role, name) if bipartite else name
+        if key not in ids:
+            ids[key] = len(ids)
+        return ids[key]
+
+    src = np.empty(m, dtype=np.int64)
+    dst = np.empty(m, dtype=np.int64)
+    t = np.empty(m, dtype=np.float64)
+    for i, (s, d, tt) in enumerate(rows[skip:]):
+        src[i] = remap(s, "s")
+        dst[i] = remap(d, "d")
+        try:
+            t[i] = float(tt)
+        except ValueError:
+            raise _bad_event_row(input_path, i + skip,
+                                 f"timestamp {tt!r} is not a number") from None
+    bad = np.flatnonzero(~np.isfinite(t))
+    if bad.size:
+        i = int(bad[0]) + skip
+        raise _bad_event_row(input_path, i,
+                             f"timestamp {rows[i][2]} is not finite")
+
+    order = np.argsort(t, kind="stable")
+    src, dst, t = src[order], dst[order], t[order]
+    num_nodes = len(ids)
+    validate_edges(src, dst, t, num_nodes)
+
+    arrays = {"src": src, "dst": dst, "t": t}
+    if bipartite:
+        arrays["dst_nodes"] = np.unique(dst)
+    core = {"num_nodes": num_nodes, "bipartite": bool(bipartite), "m": m}
+    digest = save_arrays(out_path, arrays, meta=dict(core, kind=BUNDLE_KIND))
+    return dict(core, sha256=digest)

@@ -8,9 +8,10 @@ from tempolink.bench import (
     bench_scoring,
     extraction_ratio,
     loglog_slope,
-    median_ns,
+    min_ns,
     scoring_slope,
 )
+from tempolink import bench
 from tempolink.model import Model
 
 
@@ -23,13 +24,29 @@ def test_zero_k_rejected():
         bench_scoring(q_grid=(0, 4))
 
 
-def test_median_ns_orders_workloads():
+def test_min_ns_orders_workloads():
     light = lambda: np.arange(10).sum()
     heavy = lambda: np.sort(np.random.default_rng(0).standard_normal(200_000))
-    light_ns = median_ns(light, repeats=5)
-    heavy_ns = median_ns(heavy, repeats=5)
+    light_ns = min_ns(light, repeats=5)
+    heavy_ns = min_ns(heavy, repeats=5)
     assert 0 < light_ns
     assert heavy_ns > 3 * light_ns
+
+
+def test_a_stalled_repeat_does_not_move_the_scoring_time(monkeypatch):
+    # three timed forwards take 1200, 1000 and 1100 ns, and the last one
+    # stalls for 50 us: the median moves from 1100 to 1200 ns
+    def ticks():
+        now = 0
+        for ns in (1200, 1000, 1100 + 50_000):
+            yield now
+            now += ns
+            yield now
+
+    tick = ticks()
+    monkeypatch.setattr(bench.time, "perf_counter_ns", lambda: next(tick))
+    per_forward = bench_scoring(q_grid=(8,), k=4, dim=16, B=4, repeats=3)
+    assert per_forward == {8: 1000.0}
 
 
 def test_loglog_slope_recovers_exponents():
