@@ -28,10 +28,14 @@ change with its parent is one run per checkout and a `diff`. The events
 come from numpy's seeded generator in this process, so both checkouts
 see the same input.
 
-Both workloads write integer ids separated by spaces. A third input,
-`ingest_csv`, is only ingested, plain and with `--bipartite`: a small
-comma-separated file with a header, blank lines, string ids, quoted
-fields and extra columns, the ingest paths the workloads never take.
+Both workloads write integer ids separated by spaces. A third run,
+`c10_bipartite`, ingests c10's events with `--bipartite`, so that every
+source id is apart from the destination pool; it trains in single
+precision, ranks the test split with the model and with EdgeBank, and
+so covers sampling from a bipartite pool. A fourth input, `ingest_csv`,
+is only ingested, plain and with `--bipartite`: a small comma-separated
+file with a header, blank lines, string ids, quoted fields and extra
+columns, the ingest paths the workloads never take.
 """
 
 import argparse
@@ -120,14 +124,21 @@ def digests(work):
     return out
 
 
-def run_workload(cli, work, events, seed, config):
+def ingest_workload(cli, work, events, config, *flags):
+    """Write the events and config into `work` and ingest them; returns the
+    bundle and config arguments of the commands that follow."""
     work.mkdir()
     src, dst, t = events()
     (work / "events.csv").write_text(
         "".join(f"{s} {d} {tt}\n" for s, d, tt in zip(src, dst, t)))
     (work / "config.json").write_text(json.dumps(config))
-    cli("ingest", "--input", work / "events.csv", "--out", work / "events.bin")
-    bundle = ["--bundle", work / "events.bin", "--config", work / "config.json"]
+    cli("ingest", "--input", work / "events.csv", "--out", work / "events.bin",
+        *flags)
+    return ["--bundle", work / "events.bin", "--config", work / "config.json"]
+
+
+def run_workload(cli, work, events, seed, config):
+    bundle = ingest_workload(cli, work, events, config)
     cli("split", *bundle, "--out", work / "split.json")
     common = [*bundle, "--seed", str(seed)]
     for precision in ("single", "double"):
@@ -145,6 +156,16 @@ def run_workload(cli, work, events, seed, config):
             sys.exit(f"{out}: evaluate --split val differs from val_report.json")
     cli("evaluate", *common, "--edgebank", "--out", work / "edgebank_report.json")
     cli("ablate", *common, "--out", work / "ablation" / "ablation.json")
+
+
+def run_bipartite(cli, work, events, seed, config):
+    common = [*ingest_workload(cli, work, events, config, "--bipartite"),
+              "--seed", str(seed)]
+    out = work / "single"
+    cli("train", *common, "--out", out)
+    cli("evaluate", *common, "--model", out / "model.bin",
+        "--out", out / "test_report.json")
+    cli("evaluate", *common, "--edgebank", "--out", work / "edgebank_report.json")
 
 
 def ingest_only(cli, work):
@@ -168,6 +189,7 @@ def main(argv=None):
     with tempfile.TemporaryDirectory() as tmp:
         for name, (events, seed, config) in WORKLOADS.items():
             run_workload(cli, Path(tmp) / name, events, seed, config)
+        run_bipartite(cli, Path(tmp) / "c10_bipartite", *WORKLOADS["c10"])
         ingest_only(cli, Path(tmp) / "ingest_csv")
         for artifact, digest in digests(Path(tmp)).items():
             print(f"{digest}  {artifact}")

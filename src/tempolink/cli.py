@@ -173,6 +173,12 @@ def cmd_evaluate(args):
                 f"{args.model}: checkpoint was trained on {model.cfg.num_nodes} "
                 f"nodes, bundle {args.bundle} has {run.meta.num_nodes}"
             )
+        trained_on = model.extra.get("bundle_sha256", run.bundle_sha256)
+        if trained_on != run.bundle_sha256:
+            raise ValueError(
+                f"{args.model}: checkpoint was trained on bundle sha256 "
+                f"{trained_on[:12]}, bundle {args.bundle} has "
+                f"{run.bundle_sha256[:12]}")
 
     q = run.q_eval if args.q is None else require_int("--q", args.q, 1)
     [negs] = _negatives(run, out.parent, q, args.seed, args.split)

@@ -91,25 +91,6 @@ def chronological_split(m: int, spec: SplitSpec = SplitSpec()) -> Splits:
 # -- negative sampling --------------------------------------------------------
 
 
-def same_time_partners(src, dst, t, rows):
-    """Map (src, exact t) -> destination ids sharing that timestamp.
-
-    Edges at the query's own timestamp are invisible to the model but are
-    still true positives, so they are never valid negatives. Only the edges
-    inside the time span of `rows`, a slice of the time-sorted edges, are
-    walked; every key those rows look up keeps its full list.
-    """
-    lo = hi = 0
-    if rows.stop > rows.start:
-        lo = np.searchsorted(t, t[rows.start], "left")
-        hi = np.searchsorted(t, t[rows.stop - 1], "right")
-    src, dst, t = src[lo:hi], dst[lo:hi], t[lo:hi]
-    table = {}
-    for s, d, tt in zip(src.tolist(), dst.tolist(), t.tolist()):
-        table.setdefault((s, tt), []).append(d)
-    return table
-
-
 def sample_negatives(pool, pool_set, excluded, q, rng):
     """Draw q distinct ids uniformly from pool minus excluded.
 
@@ -147,15 +128,25 @@ def eval_negatives(src, dst, t, sl, pool, q, seed, bipartite=False):
     Exclusions per row: the true destination, every destination the source
     links to at the exact same timestamp anywhere in the dataset, and the
     source itself on non-bipartite graphs. Deterministic in `seed`.
+    Partners are found by keying each edge in the rows' time span on its
+    source and its time's first span offset: sorted, a row's are one run.
     """
-    partners = same_time_partners(src, dst, t, rows=sl)
+    lo = hi = 0
+    if sl.stop > sl.start:
+        lo = np.searchsorted(t, t[sl.start], "left")
+        hi = np.searchsorted(t, t[sl.stop - 1], "right")
+    key = src[lo:hi] * (hi - lo) + np.searchsorted(t[lo:hi], t[lo:hi])
+    order = np.argsort(key, kind="stable")
+    keys, peers = key[order], dst[lo:hi][order]
+    row_keys = key[sl.start - lo:sl.stop - lo]
+    first = np.searchsorted(keys, row_keys, "left")
+    last = np.searchsorted(keys, row_keys, "right")
     pool_set = set(pool.tolist())
     out = np.empty((sl.stop - sl.start, q), dtype=np.int64)
     for j, i in enumerate(range(sl.start, sl.stop)):
-        s, tt = int(src[i]), float(t[i])
-        excluded = list(partners[(s, tt)])
+        excluded = peers[first[j]:last[j]].tolist()
         if not bipartite:
-            excluded.append(s)
+            excluded.append(int(src[i]))
         rng = rng_for(seed, "eval-neg", i)
         try:
             out[j] = sample_negatives(pool, pool_set, excluded, q, rng)

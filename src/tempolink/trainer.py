@@ -131,10 +131,12 @@ def save_checkpoint(path, model: Model, extra=None):
 
 
 def load_checkpoint(path) -> Model:
+    """The saved model; its `extra` is the dict `save_checkpoint` was given."""
     arrays, meta = load_arrays(path)
     if meta.get("kind") != CHECKPOINT_KIND:
         raise ValueError(f"{path}: not a model checkpoint")
     model = Model(ModelConfig(**meta["config"]), seed=meta["seed"],
                   dtype=np.dtype(meta["dtype"]))
     model.load_state(arrays)
+    model.extra = meta.get("extra", {})
     return model

@@ -10,6 +10,7 @@ import itertools
 import numpy as np
 
 from tempolink.array_io import save_arrays
+from tempolink.data import rng_for, sample_negatives
 from tempolink.dataset import BUNDLE_KIND
 from tempolink.store import validate_edges
 
@@ -32,6 +33,10 @@ class LinearScanOracle:
     def repeat_count(self, src, dst, t):
         return sum(1 for (s, d, tt) in self.edges if s == src and d == dst and tt < t)
 
+    def partners_at(self, src, t):
+        """Every destination `src` links to at exactly time t, in edge order."""
+        return [d for (s, d, tt) in self.edges if s == src and tt == t]
+
 
 def scatter_add_loop(table, idx, rows):
     """table[idx[i]] += rows[i], one element at a time, in index order."""
@@ -39,6 +44,37 @@ def scatter_add_loop(table, idx, rows):
         r = idx[i]
         for j in range(rows.shape[1]):
             table[r, j] += rows[i, j]
+
+
+def eval_negatives_by_dict(src, dst, t, sl, pool, q, seed, bipartite=False):
+    """`data.eval_negatives` with a Python dict of exact-time partners.
+
+    This is the sampler that shipped before the sorted-key lookup. It
+    walks the edges in the time span of the rows `sl` once, listing the
+    destinations of each (source, time) pair, then draws each row from
+    its own generator.
+    """
+    lo = hi = 0
+    if sl.stop > sl.start:
+        lo = np.searchsorted(t, t[sl.start], "left")
+        hi = np.searchsorted(t, t[sl.stop - 1], "right")
+    partners = {}
+    for s, d, tt in zip(src[lo:hi].tolist(), dst[lo:hi].tolist(),
+                        t[lo:hi].tolist()):
+        partners.setdefault((s, tt), []).append(d)
+    pool_set = set(pool.tolist())
+    out = np.empty((sl.stop - sl.start, q), dtype=np.int64)
+    for j, i in enumerate(range(sl.start, sl.stop)):
+        s, tt = int(src[i]), float(t[i])
+        excluded = list(partners[(s, tt)])
+        if not bipartite:
+            excluded.append(s)
+        rng = rng_for(seed, "eval-neg", i)
+        try:
+            out[j] = sample_negatives(pool, pool_set, excluded, q, rng)
+        except ValueError as e:
+            raise ValueError(f"edge {i}: {e}") from None
+    return out
 
 
 def random_graph(rng, n_nodes=60, n_edges=5000, t_scale=1000.0, dup_ts=True):

@@ -11,7 +11,7 @@ import pytest
 
 from tempolink.array_io import load_arrays, read_digest
 from tempolink.cli import main
-from tempolink.data import assemble_batch
+from tempolink.data import assemble_batch, eval_negatives, train_negatives
 from tempolink.dataset import ingest, load_bundle
 from tempolink.store import build_index
 from tempolink.trainer import load_checkpoint
@@ -212,6 +212,74 @@ def test_checkpoint_node_count_must_match_bundle(tmp_path, tiny_config, capsys):
     assert ("error: " + str(run / "model.bin") + ": checkpoint was trained on "
             "14 nodes, bundle " + str(small) + " has 10") in capsys.readouterr().err
     assert not report.exists()
+
+
+def test_checkpoint_must_come_from_the_bundle(tmp_path, tiny_config, capsys):
+    # both bundles have 14 nodes, so only the recorded digest tells them apart
+    bundles = []
+    for name, seed in (("a", 0), ("b", 1)):
+        write_events(tmp_path / f"{name}.csv", seed=seed)
+        bundles.append(tmp_path / f"{name}.bin")
+        assert main(["ingest", "--input", str(tmp_path / f"{name}.csv"),
+                     "--out", str(bundles[-1])]) == 0
+    run = tmp_path / "runA"
+    assert main(["train", "--bundle", str(bundles[0]), "--config",
+                 str(tiny_config), "--seed", "3", "--out", str(run)]) == 0
+    capsys.readouterr()
+    out = tmp_path / "evalB" / "report.json"
+    code = main(["evaluate", "--bundle", str(bundles[1]), "--model",
+                 str(run / "model.bin"), "--config", str(tiny_config),
+                 "--seed", "3", "--out", str(out)])
+    assert code == 1
+    a, b = (read_digest(bundle)[:12] for bundle in bundles)
+    assert capsys.readouterr().err == (
+        f"error: {run / 'model.bin'}: checkpoint was trained on bundle sha256 "
+        f"{a}, bundle {bundles[1]} has {b}\n")
+    assert not out.parent.exists()
+
+
+def test_bipartite_bundle_trains_and_ranks(tmp_path, tiny_config):
+    # string ids; the names n5..n9 occur as sources and as destinations,
+    # which a bipartite bundle keeps apart
+    rng = np.random.default_rng(4)
+    src, dst = rng.integers(0, 10, 400), rng.integers(5, 17, 400)
+    t = np.sort(rng.integers(0, 150, 400))
+    raw = tmp_path / "bi.txt"
+    raw.write_text("".join(f"n{s} n{d} {tt}\n" for s, d, tt in zip(src, dst, t)))
+    bundle = tmp_path / "bi.bin"
+    assert main(["ingest", "--input", str(raw), "--out", str(bundle),
+                 "--bipartite"]) == 0
+    common = ["--bundle", str(bundle), "--config", str(tiny_config),
+              "--seed", "3"]
+    run = tmp_path / "run"
+    assert main(["train", *common, "--out", str(run)]) == 0
+    assert main(["evaluate", *common, "--model", str(run / "model.bin"),
+                 "--out", str(run / "test_report.json")]) == 0
+    assert main(["evaluate", *common, "--edgebank",
+                 "--out", str(run / "edgebank_report.json")]) == 0
+    for name in ("test_report.json", "edgebank_report.json"):
+        assert json.loads((run / name).read_text())["n_ranked"] > 0
+
+    src, dst, t, meta = load_bundle(bundle)
+    assert meta.bipartite and len(meta.dst_nodes) == 12
+    caches = sorted(run.glob("negatives_*.bin"))
+    assert [c.name for c in caches] == ["negatives_test_seed3_q5.bin",
+                                        "negatives_val_seed3_q5.bin"]
+    for cache in caches:
+        negs = load_arrays(cache)[0]["negatives"]
+        assert np.isin(negs, meta.dst_nodes).all()
+        assert not np.isin(negs, src).any()
+
+    # no source is in the destination pool, so the flag changes nothing
+    pool = meta.candidate_pool()
+    index = build_index(src, dst, t, meta.num_nodes)
+    for sl in (slice(280, 340), slice(340, 400)):
+        np.testing.assert_array_equal(
+            eval_negatives(src, dst, t, sl, pool, 5, 3, bipartite=True),
+            eval_negatives(src, dst, t, sl, pool, 5, 3, bipartite=False))
+    np.testing.assert_array_equal(
+        train_negatives(index, src, t, 280, pool, 3, 0, bipartite=True),
+        train_negatives(index, src, t, 280, pool, 3, 0, bipartite=False))
 
 
 def test_split_manifest(tmp_path):

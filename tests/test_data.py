@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from oracles import LinearScanOracle, random_graph
+from oracles import LinearScanOracle, eval_negatives_by_dict, random_graph
 from tempolink import data
 from tempolink.array_io import load_arrays, read_digest, save_arrays
 from tempolink.data import (
@@ -16,7 +16,6 @@ from tempolink.data import (
     eval_negatives,
     load_negatives,
     rng_for,
-    same_time_partners,
     sample_negatives,
     save_negatives,
     shuffle_order,
@@ -113,33 +112,60 @@ def test_eval_negatives_exclusions_and_determinism():
     src, dst, t = random_graph(rng, n_nodes=40, n_edges=800, t_scale=50.0)
     pool = np.arange(40, dtype=np.int64)
     sl = slice(600, 800)
-    partners = same_time_partners(src, dst, t, slice(0, len(src)))
+    oracle = LinearScanOracle(src, dst, t)
     negs = eval_negatives(src, dst, t, sl, pool, q=20, seed=9)
     assert negs.shape == (200, 20)
     for j, i in enumerate(range(600, 800)):
         row = set(negs[j].tolist())
         assert len(row) == 20
         assert int(src[i]) not in row
-        assert not row & set(partners[(int(src[i]), float(t[i]))])
+        assert not row & set(oracle.partners_at(int(src[i]), float(t[i])))
     again = eval_negatives(src, dst, t, sl, pool, q=20, seed=9)
     np.testing.assert_array_equal(negs, again)
     other = eval_negatives(src, dst, t, sl, pool, q=20, seed=10)
     assert (negs != other).any()
 
 
-def test_partners_in_row_span_match_the_full_table():
-    rng = np.random.default_rng(8)
-    # 900 edges on 30 distinct times: every row shares its time with others
-    src, dst, t = random_graph(rng, n_nodes=12, n_edges=900, t_scale=7.5)
-    full = same_time_partners(src, dst, t, slice(0, len(src)))
-    for rows in (slice(0, 1), slice(0, 630), slice(630, 765), slice(765, 900),
-                 slice(899, 900)):
-        part = same_time_partners(src, dst, t, rows=rows)
-        keys = {(int(src[i]), float(t[i])) for i in range(rows.start, rows.stop)}
-        assert keys <= set(part)
-        assert {key: part[key] for key in keys} == {key: full[key] for key in keys}
-        assert len(part) < len(full)
-    assert same_time_partners(src, dst, t, rows=slice(5, 5)) == {}
+def _outcome(sampler, *args):
+    """The sampler's array, or the text of the ValueError it raised."""
+    try:
+        return sampler(*args)
+    except ValueError as e:
+        return str(e)
+
+
+SPANS = {  # rows of a 300-edge graph
+    "empty": (150, 150), "one-row": (150, 151), "first": (0, 120),
+    "interior": (120, 210), "last": (210, 300),
+}
+
+
+@pytest.mark.parametrize("span", SPANS)
+@pytest.mark.parametrize("bipartite", [False, True])
+@settings(max_examples=30, deadline=None)
+@given(graph_seed=st.integers(0, 2**31 - 1), n_nodes=st.integers(4, 40),
+       pool_fit=st.sampled_from(["loose", "tight", "over"]),
+       seed=st.integers(0, 2**31 - 1))
+def test_eval_negatives_match_the_dict_sampler(span, bipartite, graph_seed,
+                                               n_nodes, pool_fit, seed):
+    # times on 10 ticks, so most rows share their time and source with
+    # other edges. A loose q takes sample_negatives' rejection loop, a
+    # tight one (fewer than 4q eligible) its eligible-array draw, and one
+    # past the eligible count raises.
+    rng = np.random.default_rng(graph_seed)
+    src, dst, t = random_graph(rng, n_nodes=n_nodes, n_edges=300, t_scale=2.5)
+    pool = np.unique(rng.integers(0, n_nodes, n_nodes))
+    q = max(1, {"loose": pool.size // 8, "tight": pool.size // 2,
+                "over": pool.size - 1}[pool_fit])
+    lo, hi = SPANS[span]
+    args = (src, dst, t, slice(lo, hi), pool, q, seed, bipartite)
+    got = _outcome(eval_negatives, *args)
+    want = _outcome(eval_negatives_by_dict, *args)
+    if isinstance(want, str):
+        assert got == want
+    else:
+        np.testing.assert_array_equal(got, want)
+        assert got.shape == (hi - lo, q)
 
 
 def test_negative_cache_roundtrip_and_seed_guard(tmp_path):
@@ -171,7 +197,7 @@ def test_train_negatives_collision_free_and_epoch_fresh():
     rng = np.random.default_rng(5)
     src, dst, t = random_graph(rng, n_nodes=30, n_edges=1000, t_scale=40.0)
     pool = np.arange(30, dtype=np.int64)
-    partners = same_time_partners(src, dst, t, slice(0, len(src)))
+    oracle = LinearScanOracle(src, dst, t)
     index = build_index(src, dst, t, 30)
     e0 = train_negatives(index, src, t, 700, pool, seed=1, epoch=0)
     e0b = train_negatives(index, src, t, 700, pool, seed=1, epoch=0)
@@ -180,7 +206,7 @@ def test_train_negatives_collision_free_and_epoch_fresh():
     assert (e0 != e1).any()
     for i in range(700):
         assert e0[i] != src[i]
-        assert int(e0[i]) not in partners[(int(src[i]), float(t[i]))]
+        assert int(e0[i]) not in oracle.partners_at(int(src[i]), float(t[i]))
 
 
 def test_train_negatives_tiny_pool_terminates():
