@@ -26,7 +26,7 @@ def ablation_variants(cfg: ModelConfig):
 
 
 def run_ablation(cfg, tcfg, index, src, dst, t, splits, pool, seed,
-                 val_negs, test_negs, bipartite=False, log=None):
+                 val_negs, test_negs, log=None):
     """Train and test each variant; returns {variant: result dict}."""
     results = {}
     sl_test = splits.slices()["test"]
@@ -36,7 +36,7 @@ def run_ablation(cfg, tcfg, index, src, dst, t, splits, pool, seed,
         model = Model(vcfg, seed=seed)
         best_val, history = train(
             model, index, src, dst, t, splits, pool, seed, tcfg=tcfg,
-            val_negs=val_negs, bipartite=bipartite, log=log,
+            val_negs=val_negs, log=log,
         )
         rep = evaluate(model, index, src, dst, t, sl_test, test_negs,
                        config={"variant": name})

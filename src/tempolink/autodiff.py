@@ -2,9 +2,9 @@
 
 Tensors wrap an ndarray plus a backward closure; calling backward() on a
 scalar loss walks the graph in reverse topological order and accumulates
-gradients into every tensor built with requires_grad=True (and through
-any intermediate on a path to one). Only the operations this package
-needs exist, and each op states its adjoint inline.
+a gradient into every tensor on it, parameters and constants alike. Only
+the operations this package needs exist, and each op states its adjoint
+inline.
 
 Every op keeps its input dtype: a result has the dtype of its parents,
 and every gradient has the dtype of the tensor it accumulates into.
@@ -150,9 +150,9 @@ def _gelu32(x, g=None, out=None):
 
 
 class Tensor:
-    __slots__ = ("data", "grad", "requires_grad", "_parents", "_backward")
+    __slots__ = ("data", "grad", "_parents", "_backward")
 
-    def __init__(self, data, requires_grad=False, _parents=(), _backward=None):
+    def __init__(self, data, _parents=(), _backward=None):
         self.data = np.asarray(data)
         for p in _parents:
             if p.data.dtype != self.data.dtype:
@@ -161,7 +161,6 @@ class Tensor:
         if not _recording.get():
             _parents, _backward = (), None
         self.grad = None
-        self.requires_grad = requires_grad or any(p.requires_grad for p in _parents)
         self._parents = _parents
         self._backward = _backward
 
@@ -214,8 +213,6 @@ class Tensor:
 
         return Tensor(self.data + other.data, _parents=(self, other), _backward=bw)
 
-    __radd__ = __add__
-
     def __mul__(self, other):
         other = _wrap(other, self.dtype)
 
@@ -224,14 +221,6 @@ class Tensor:
             other._accum(_reduce_to(g * self.data, other.shape))
 
         return Tensor(self.data * other.data, _parents=(self, other), _backward=bw)
-
-    __rmul__ = __mul__
-
-    def __neg__(self):
-        return self * (-1.0)
-
-    def __sub__(self, other):
-        return self + (-_wrap(other, self.dtype))
 
     def matmul(self, other):
         a, b = self.data, other.data
@@ -267,20 +256,15 @@ class Tensor:
 
     # -- reductions ---------------------------------------------------------
 
-    def sum(self, axis=None, keepdims=False):
+    def sum(self):
+        """The sum of every element, as a 0-d tensor."""
         def bw(g):
-            if axis is not None and not keepdims:
-                g = np.expand_dims(g, axis)
             self._accum(np.broadcast_to(g, self.shape).astype(self.dtype, copy=False))
 
-        return Tensor(
-            self.data.sum(axis=axis, keepdims=keepdims),
-            _parents=(self,), _backward=bw,
-        )
+        return Tensor(self.data.sum(), _parents=(self,), _backward=bw)
 
-    def mean(self, axis=None, keepdims=False):
-        n = self.data.size if axis is None else self.shape[axis]
-        return self.sum(axis=axis, keepdims=keepdims) * (1.0 / n)
+    def mean(self):
+        return self.sum() * (1.0 / self.data.size)
 
     # -- nonlinearities -----------------------------------------------------
 
@@ -292,14 +276,6 @@ class Tensor:
 
         return Tensor(_gelu(x), _parents=(self,), _backward=bw)
 
-    def sigmoid(self):
-        s = special.expit(self.data)
-
-        def bw(g):
-            self._accum(g * s * (1.0 - s))
-
-        return Tensor(s, _parents=(self,), _backward=bw)
-
     def softplus(self):
         x = self.data
 
@@ -307,15 +283,6 @@ class Tensor:
             self._accum(g * special.expit(x))
 
         return Tensor(np.logaddexp(0.0, x), _parents=(self,), _backward=bw)
-
-    def log(self):
-        if (self.data <= 0).any():
-            raise ValueError("log of non-positive value")
-
-        def bw(g):
-            self._accum(g / self.data)
-
-        return Tensor(np.log(self.data), _parents=(self,), _backward=bw)
 
     def softmax_rows(self, scale=1.0, bias=None):
         """Softmax of `self * scale + bias` along the last axis, max-shifted.

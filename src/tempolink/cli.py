@@ -141,8 +141,7 @@ def cmd_train(args):
     best, history = train(
         model, run.index, run.src, run.dst, run.t, run.splits, run.pool,
         args.seed, tcfg=run.tcfg, val_negs=val_negs,
-        metrics_path=out / "metrics.jsonl", bipartite=run.meta.bipartite,
-        log=print if args.verbose else None,
+        metrics_path=out / "metrics.jsonl", log=print if args.verbose else None,
     )
     save_checkpoint(out / "model.bin", model, extra={
         "bundle_sha256": run.bundle_sha256,
@@ -205,8 +204,7 @@ def cmd_ablate(args):
                                      "val", "test")
     results = run_ablation(run.cfg, run.tcfg, run.index, run.src, run.dst,
                            run.t, run.splits, run.pool, args.seed, val_negs,
-                           test_negs, bipartite=run.meta.bipartite,
-                           log=print if args.verbose else None)
+                           test_negs, log=print if args.verbose else None)
     save_ablation(out, results)
     for name, r in results.items():
         print(f"{name}: test MRR {r['test_mrr']:.4f}")

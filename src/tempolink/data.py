@@ -185,21 +185,18 @@ def load_negatives(path, **key):
     return negs
 
 
-def _excluded(index: NeighborIndex, srcs, cands, times, bipartite):
+def _excluded(index: NeighborIndex, srcs, cands, times):
     """True where a candidate may not be a negative of its (source, time).
 
     Either the pair has an event at exactly that time (the row's positive
-    does), or the graph is not bipartite and the candidate is the source.
+    does), or the candidate is the source (never in a bipartite pool).
     """
     bad = (index.repeat_count_batch(srcs, cands, np.nextafter(times, np.inf))
            > index.repeat_count_batch(srcs, cands, times))
-    if not bipartite:
-        bad |= cands == srcs
-    return bad
+    return bad | (cands == srcs)
 
 
-def train_negatives(index: NeighborIndex, src, t, train_end, pool, seed, epoch,
-                    bipartite=False):
+def train_negatives(index: NeighborIndex, src, t, train_end, pool, seed, epoch):
     """One fresh negative per training edge, reseeded every epoch.
 
     Vectorized rejection: draw for every row at once, then redraw only the
@@ -210,16 +207,16 @@ def train_negatives(index: NeighborIndex, src, t, train_end, pool, seed, epoch,
     out = pool[rng.integers(0, len(pool), size=train_end)]
     rows = np.arange(train_end)
     for _ in range(64):
-        rows = rows[_excluded(index, src[rows], out[rows], t[rows], bipartite)]
+        rows = rows[_excluded(index, src[rows], out[rows], t[rows])]
         if rows.size == 0:
             return out
         out[rows] = pool[rng.integers(0, len(pool), size=rows.size)]
     # pathological pools (nearly everything excluded): finish row by row
-    rows = rows[_excluded(index, src[rows], out[rows], t[rows], bipartite)]
+    rows = rows[_excluded(index, src[rows], out[rows], t[rows])]
     pool_set = set(pool.tolist())
     for i in rows.tolist():
         excluded = pool[_excluded(index, np.full(pool.size, src[i]), pool,
-                                  np.full(pool.size, t[i]), bipartite)]
+                                  np.full(pool.size, t[i]))]
         try:
             out[i] = sample_negatives(pool, pool_set, excluded, 1, rng)[0]
         except ValueError as e:

@@ -211,11 +211,16 @@ def load_bundle(path):
 
     The container checks its own sha256, so a corrupted or tampered
     bundle raises instead of feeding garbage into a run; so does any
-    other kind of container.
+    other kind of container, and a bundle without one of its meta fields
+    or arrays.
     """
     arrays, core = load_arrays(path)
     if core.get("kind") != BUNDLE_KIND:
         raise ValueError(f"{path}: not an event bundle")
+    missing = [f"meta field {k!r}" for k in ("num_nodes", "bipartite") if k not in core]
+    missing += [f"array {k!r}" for k in ("src", "dst", "t") if k not in arrays]
+    if missing:
+        raise ValueError(f"{path}: bundle has no {', '.join(missing)}")
     meta = GraphMeta(
         num_nodes=core["num_nodes"],
         bipartite=core["bipartite"],

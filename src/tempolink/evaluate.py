@@ -82,7 +82,8 @@ def evaluate(model, index, src, dst, t, sl, negs, batch_size=100, config=None):
     Rows whose source has no history are skipped and reported, not scored.
     Scores are computed in eval mode (dropout off), so the result is a
     pure function of parameters and inputs regardless of batch size. No
-    autodiff graph is recorded while scoring.
+    autodiff graph is recorded while scoring. A non-finite score would
+    rank its positive first, so it is a ValueError naming its bundle row.
 
     At q = 100 a 100-row chunk is about 10k candidates: its FFN hidden
     layer (10 MB with the UCI model) halves the transient memory of 200
@@ -93,7 +94,12 @@ def evaluate(model, index, src, dst, t, sl, negs, batch_size=100, config=None):
         if batch is None:
             return None, chunk.size
         with no_grad():
-            return model.score(batch).data, batch.skipped_cold
+            scores = model.score(batch).data
+        finite = np.isfinite(scores).all(axis=1)
+        if not finite.all():
+            row = chunk[batch.kept_rows[finite.argmin()]]
+            raise ValueError(f"bundle row {row}: the model's score is not finite")
+        return scores, batch.skipped_cold
 
     return _rank(sl, dst, negs, batch_size, score_chunk, config)
 

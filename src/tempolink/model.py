@@ -118,7 +118,7 @@ def init_params(cfg: ModelConfig, seed: int, dtype=np.float32):
     p["head.w2"] = _glorot(seed, "head.w2", d, 1, dtype)
     p["head.b2"] = np.zeros(1, dtype=dtype)
 
-    return {k: Tensor(v, requires_grad=True) for k, v in p.items()}
+    return {k: Tensor(v) for k, v in p.items()}
 
 
 class Model:

@@ -2,7 +2,7 @@
 
 import json
 import time
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, fields
 
 import numpy as np
 
@@ -34,14 +34,14 @@ class TrainConfig:
 
 
 def train_epoch(model, opt, index, src, dst, t, train_end, pool, seed, epoch,
-                tcfg, bipartite=False):
+                tcfg):
     """One pass over the training rows; returns (mean loss, skipped count).
 
     Negatives are drawn fresh for the epoch, the row order reshuffled, and
     every batch's dropout stream keyed by (seed, epoch, step) so a rerun
     with the same seed replays the identical sequence.
     """
-    negs = train_negatives(index, src, t, train_end, pool, seed, epoch, bipartite)
+    negs = train_negatives(index, src, t, train_end, pool, seed, epoch)
     order = shuffle_order(train_end, seed, epoch)
     loss_fn = bpr_loss if tcfg.loss == "bpr" else bce_loss
     total, n_rows, skipped = 0.0, 0, 0
@@ -71,7 +71,7 @@ def train_epoch(model, opt, index, src, dst, t, train_end, pool, seed, epoch,
 
 
 def train(model, index, src, dst, t, splits, pool, seed, tcfg=TrainConfig(), *,
-          val_negs, metrics_path=None, bipartite=False, log=None):
+          val_negs, metrics_path=None, log=None):
     """Fit until validation MRR stops improving; restores the best epoch.
 
     Every epoch ranks the validation rows against `val_negs`. Writes one
@@ -88,7 +88,7 @@ def train(model, index, src, dst, t, splits, pool, seed, tcfg=TrainConfig(), *,
             t0 = time.perf_counter()
             mean_loss, skipped = train_epoch(
                 model, opt, index, src, dst, t, splits.train_end, pool,
-                seed, epoch, tcfg, bipartite,
+                seed, epoch, tcfg,
             )
             val_mrr = evaluate(model, index, src, dst, t, sl_val, val_negs).mrr
             row = {
@@ -131,12 +131,36 @@ def save_checkpoint(path, model: Model, extra=None):
 
 
 def load_checkpoint(path) -> Model:
-    """The saved model; its `extra` is the dict `save_checkpoint` was given."""
+    """The saved model; its `extra` is the dict `save_checkpoint` was given.
+
+    Meta that `save_checkpoint` could not have written (config keys or
+    values, seed, dtype, `extra`) is a ValueError naming file and field.
+    """
     arrays, meta = load_arrays(path)
     if meta.get("kind") != CHECKPOINT_KIND:
         raise ValueError(f"{path}: not a model checkpoint")
-    model = Model(ModelConfig(**meta["config"]), seed=meta["seed"],
-                  dtype=np.dtype(meta["dtype"]))
+    cfg = meta.get("config")
+    if not isinstance(cfg, dict):
+        raise ValueError(f"{path}: checkpoint config must be an object, got {cfg!r}")
+    want = {f.name for f in fields(ModelConfig)}
+    for what, names in (("unknown", set(cfg) - want), ("missing", want - set(cfg))):
+        if names:
+            raise ValueError(
+                f"{path}: checkpoint config has {what} fields {sorted(names)}")
+    try:
+        cfg = ModelConfig(**cfg)
+        seed = require_int("seed", meta.get("seed"), 0)
+    except ValueError as e:
+        raise ValueError(f"{path}: bad checkpoint meta: {e}") from None
+    if meta.get("dtype") not in ("float32", "float64"):
+        raise ValueError(f"{path}: checkpoint dtype must be float32 or float64, "
+                         f"got {meta.get('dtype')!r}")
+    extra = meta.get("extra", {})
+    digest = extra.get("bundle_sha256", "") if isinstance(extra, dict) else None
+    if not isinstance(digest, str):
+        raise ValueError(f"{path}: checkpoint extra must be an object whose "
+                         f"bundle_sha256 is a string, got {extra!r}")
+    model = Model(cfg, seed=seed, dtype=np.dtype(meta["dtype"]))
     model.load_state(arrays)
-    model.extra = meta.get("extra", {})
+    model.extra = extra
     return model

@@ -25,7 +25,7 @@ TOL = 1e-6  # per-primitive gradient agreement, float64
 
 
 def t64(rng, *shape):
-    return Tensor(rng.standard_normal(shape), requires_grad=True)
+    return Tensor(rng.standard_normal(shape))
 
 
 # -- forward values -----------------------------------------------------------
@@ -60,10 +60,8 @@ def test_dense_matmul_forward_matches_numpy_bitwise(dtype, shape, transposed):
 def test_dense_matmul_gradients_are_single_gemms():
     rng = np.random.default_rng(8)
     for a_shape in [(4, 6, 5), (4, 5)]:  # a dense layer; 2-D @ 2-D
-        a = Tensor(rng.standard_normal(a_shape).astype(np.float32),
-                   requires_grad=True)
-        w = Tensor(rng.standard_normal((5, 3)).astype(np.float32),
-                   requires_grad=True)
+        a = Tensor(rng.standard_normal(a_shape).astype(np.float32))
+        w = Tensor(rng.standard_normal((5, 3)).astype(np.float32))
         seed = rng.standard_normal(a_shape[:-1] + (3,)).astype(np.float32)
         (a @ w).backward(seed=seed)
         g2, a2 = seed.reshape(-1, 3), a.data.reshape(-1, 5)
@@ -78,8 +76,8 @@ def test_dense_matmul_gradients_are_single_gemms():
 ])
 def test_other_matmuls_keep_the_batched_adjoint(a_shape, b_shape):
     rng = np.random.default_rng(9)
-    a = Tensor(rng.standard_normal(a_shape), requires_grad=True)
-    b = Tensor(rng.standard_normal(b_shape), requires_grad=True)
+    a = Tensor(rng.standard_normal(a_shape))
+    b = Tensor(rng.standard_normal(b_shape))
     out = a @ b
     seed = rng.standard_normal(out.shape)
     out.backward(seed=seed)
@@ -97,7 +95,7 @@ def test_other_matmuls_keep_the_batched_adjoint(a_shape, b_shape):
 def test_dense_is_the_composed_ops_bitwise(dtype, shape, bias, residual, gelu):
     rng = np.random.default_rng(10)
     add_shapes = [(6,)] * bias + [shape[:-1] + (6,)] * residual
-    inputs = [Tensor(rng.standard_normal(s).astype(dtype), requires_grad=True)
+    inputs = [Tensor(rng.standard_normal(s).astype(dtype))
               for s in [shape, (shape[-1], 6)] + add_shapes]
     x, w, *adds = inputs
     before = [t.data.copy() for t in inputs]
@@ -160,8 +158,7 @@ def _softmax_reference(logits, scale, bias, g):
 def test_scaled_masked_softmax_is_the_composed_ops_bitwise(dtype):
     rng = np.random.default_rng(12)
     B, heads, C, k = 3, 2, 5, 7
-    logits = Tensor((rng.standard_normal((B, heads, C, k)) * 4).astype(dtype),
-                    requires_grad=True)
+    logits = Tensor((rng.standard_normal((B, heads, C, k)) * 4).astype(dtype))
     mask = (rng.random((B, k)) < 0.6).astype(dtype)
     mask[:, -1] = 1.0  # every row keeps a real slot
     bias = ((mask - 1.0) * 1e30)[:, None, None, :]
@@ -199,7 +196,7 @@ def test_gelu_values():
 
 @pytest.mark.parametrize("dtype", [np.float32, np.float64])
 def test_gelu_keeps_dtype(dtype):
-    x = Tensor(np.linspace(-3, 3, 13).astype(dtype), requires_grad=True)
+    x = Tensor(np.linspace(-3, 3, 13).astype(dtype))
     y = x.gelu()
     assert y.dtype == dtype
     y.sum().backward()
@@ -216,7 +213,7 @@ def gelu64(x):
 
 
 def gelu_and_grad(x):
-    t = Tensor(x, requires_grad=True)
+    t = Tensor(x)
     y = t.gelu()
     y.backward(seed=np.ones_like(x))
     return y.data, t.grad
@@ -283,7 +280,7 @@ def test_gelu_float32_peak_memory_is_its_output():
 
 
 def test_dtype_contract_rejects_promotion():
-    a = Tensor(np.ones(3, dtype=np.float32), requires_grad=True)
+    a = Tensor(np.ones(3, dtype=np.float32))
     b = Tensor(np.ones(3, dtype=np.float64))
     with pytest.raises(TypeError, match="Tensor.__add__ turned float32 into float64"):
         a + b
@@ -301,11 +298,6 @@ def test_dtype_contract_rejects_promotion():
         y.sum().backward()
 
 
-def test_log_rejects_nonpositive():
-    with pytest.raises(ValueError, match="log"):
-        Tensor(np.array([1.0, 0.0])).log()
-
-
 def test_softplus_is_stable_and_exact():
     x = np.array([-800.0, 0.0, 800.0])
     y = Tensor(x).softplus().data
@@ -318,7 +310,7 @@ def test_softplus_is_stable_and_exact():
 
 
 def test_gather_rows_backward_sums_duplicates():
-    table = Tensor(np.zeros((3, 2)), requires_grad=True)
+    table = Tensor(np.zeros((3, 2)))
     out = gather_rows(table, np.array([0, 0, 1]))
     out.backward(seed=np.array([[1.0, 2.0], [3.0, 4.0], [5.0, 6.0]]))
     np.testing.assert_allclose(table.grad, [[4.0, 6.0], [5.0, 6.0], [0.0, 0.0]])
@@ -368,15 +360,14 @@ def test_scatter_add_rejects_a_table_it_could_only_copy():
 
 
 def test_no_grad_drops_graph_and_restores_after_exception():
-    x = Tensor(np.array([1.0, 2.0, 3.0]), requires_grad=True)
+    x = Tensor(np.array([1.0, 2.0, 3.0]))
     with pytest.raises(RuntimeError, match="boom"):
         with no_grad():
             y = (x * 2.0).sum()
             assert y._parents == () and y._backward is None
-            assert not y.requires_grad
             raise RuntimeError("boom")
     z = (x * 2.0).sum()
-    assert z._parents and z.requires_grad
+    assert z._parents
     z.backward()
     np.testing.assert_array_equal(x.grad, [2.0, 2.0, 2.0])
 
@@ -392,15 +383,15 @@ def test_concat_routes_gradient_slices():
 
 
 def test_broadcast_add_reduces_gradient():
-    a = Tensor(np.zeros((3, 1)), requires_grad=True)
-    b = Tensor(np.zeros(4), requires_grad=True)
+    a = Tensor(np.zeros((3, 1)))
+    b = Tensor(np.zeros(4))
     (a + b).sum().backward()
     np.testing.assert_allclose(a.grad, np.full((3, 1), 4.0))
     np.testing.assert_allclose(b.grad, np.full(4, 3.0))
 
 
 def test_diamond_graph_accumulates_both_paths():
-    x = Tensor(np.array(3.0), requires_grad=True)
+    x = Tensor(np.array(3.0))
     y = x * x + x * 2.0  # dy/dx = 2x + 2 = 8
     y.backward()
     assert x.grad == pytest.approx(8.0)
@@ -417,6 +408,8 @@ def test_primitive_gradients_against_central_differences():
     d = t64(rng, 5)
     e = t64(rng, 2, 3, 2, 6)
     f = t64(rng, 5, 1, 6)
+    bias = t64(rng, 3)
+    c_rows = Tensor(c.data.sum(axis=0))  # a constant [4, 3] softmax weight
     cases = {
         "matmul": (lambda: ((a @ b) * (a @ b)).sum(), {"a": a, "b": b}),
         "batched_matmul": (
@@ -429,20 +422,17 @@ def test_primitive_gradients_against_central_differences():
         "dense_single_row_matmul": (
             lambda: ((f @ b) * (f @ b)).sum(), {"f": f, "b": b},
         ),
-        "softmax": (lambda: ((a @ b).softmax_rows() * c.sum(axis=0)).sum(), {"a": a}),
+        "softmax": (lambda: ((a @ b).softmax_rows() * c_rows).sum(), {"a": a}),
         "scaled_masked_softmax": (
             lambda: ((a @ b).softmax_rows(0.3, np.array([0.0, -1e30, 0.0]))
-                     * c.sum(axis=0)).sum(), {"a": a, "b": b},
+                     * c_rows).sum(), {"a": a, "b": b},
         ),
         "dense_bias_residual_gelu": (
-            lambda: dense(e, b, c.sum(axis=0).sum(axis=0), (e @ b) * 0.5,
-                          gelu=True).sum(),
-            {"e": e, "b": b, "c": c},
+            lambda: dense(e, b, bias, (e @ b) * 0.5, gelu=True).sum(),
+            {"e": e, "b": b, "bias": bias},
         ),
         "gelu": (lambda: a.gelu().sum(), {"a": a}),
-        "sigmoid": (lambda: a.sigmoid().mean(), {"a": a}),
-        "log": (lambda: ((a * a) + 0.1).log().sum(), {"a": a}),
-        "softplus_mean": (lambda: a.softplus().mean(axis=1).sum(), {"a": a}),
+        "softplus_mean": (lambda: a.softplus().mean(), {"a": a}),
         "concat_reshape": (
             lambda: concat([a.reshape(2, 12), d.reshape(1, 5) @ Tensor(
                 np.ones((5, 12)))], axis=0).gelu().sum(),
@@ -452,7 +442,6 @@ def test_primitive_gradients_against_central_differences():
             lambda: gather_rows(b, np.array([0, 5, 5, 2])).gelu().sum(),
             {"b": b},
         ),
-        "mul_neg_sub": (lambda: ((a * 3.0 - a.gelu()) * a).sum(), {"a": a}),
     }
     for name, (fn, params) in cases.items():
         errs = grad_check(fn, params)
@@ -473,7 +462,7 @@ def test_small_mlp_chain_gradient():
     def fn():
         x = gather_rows(params["emb"], idx)
         h = (x @ params["w1"] + params["b1"]).gelu()
-        return (h @ params["w2"]).sigmoid().log().mean() * -1.0
+        return (h @ params["w2"] * -1.0).softplus().mean()
 
     errs = grad_check(fn, params)
     assert max(errs.values()) < TOL
@@ -483,14 +472,14 @@ def test_small_mlp_chain_gradient():
 
 
 def test_dropout_eval_is_identity():
-    x = Tensor(np.ones((10, 10)), requires_grad=True)
+    x = Tensor(np.ones((10, 10)))
     assert dropout(x, 0.5, np.random.default_rng(0), training=False) is x
     assert dropout(x, 0.0, np.random.default_rng(0), training=True) is x
 
 
 def test_dropout_train_scales_and_masks():
     rng = np.random.default_rng(4)
-    x = Tensor(np.ones((200, 200)), requires_grad=True)
+    x = Tensor(np.ones((200, 200)))
     p = 0.3
     out = dropout(x, p, rng, training=True)
     vals = np.unique(out.data)
@@ -507,7 +496,7 @@ def test_dropout_train_scales_and_masks():
 
 def test_adam_first_step_matches_hand_calc():
     # g=1 everywhere: m̂=1, v̂=1, so the first update is -lr/(1+eps)
-    p = Tensor(np.zeros(3), requires_grad=True)
+    p = Tensor(np.zeros(3))
     opt = Adam({"p": p}, lr=0.1)
     p.grad = np.ones(3)
     opt.step()
@@ -518,7 +507,7 @@ def test_adam_trajectory_matches_scalar_reference():
     # hand-rolled scalar Adam on f(x) = x^2 for a few steps
     lr, b1, b2, eps = 0.05, 0.9, 0.999, 1e-8
     x_ref, m, v = 1.7, 0.0, 0.0
-    p = Tensor(np.array([1.7]), requires_grad=True)
+    p = Tensor(np.array([1.7]))
     opt = Adam({"p": p}, lr=lr, betas=(b1, b2), eps=eps)
     for t in range(1, 6):
         g = 2 * x_ref
@@ -533,7 +522,7 @@ def test_adam_trajectory_matches_scalar_reference():
 
 
 def test_zero_grad_clears():
-    p = Tensor(np.zeros(2), requires_grad=True)
+    p = Tensor(np.zeros(2))
     opt = Adam({"p": p})
     p.grad = np.ones(2)
     opt.zero_grad()

@@ -9,12 +9,13 @@ import shutil
 import numpy as np
 import pytest
 
-from tempolink.array_io import load_arrays, read_digest
+from tempolink.array_io import load_arrays, read_digest, save_arrays
 from tempolink.cli import main
 from tempolink.data import assemble_batch, eval_negatives, train_negatives
 from tempolink.dataset import ingest, load_bundle
+from tempolink.model import Model, ModelConfig
 from tempolink.store import build_index
-from tempolink.trainer import load_checkpoint
+from tempolink.trainer import load_checkpoint, save_checkpoint
 
 
 def write_events(path, n=400, n_nodes=14, seed=0, delimiter=","):
@@ -238,6 +239,64 @@ def test_checkpoint_must_come_from_the_bundle(tmp_path, tiny_config, capsys):
     assert not out.parent.exists()
 
 
+@pytest.mark.parametrize("edit,why", [
+    (lambda m: m.update(config=5), "checkpoint config must be an object, got 5"),
+    (lambda m: m["config"].update(id_buckets=8),
+     "checkpoint config has unknown fields ['id_buckets']"),
+    (lambda m: m["config"].pop("k"), "checkpoint config has missing fields ['k']"),
+    (lambda m: m["config"].update(dim="16"),
+     "bad checkpoint meta: dim must be an integer >= 1, got '16'"),
+    (lambda m: m.pop("seed"),
+     "bad checkpoint meta: seed must be an integer >= 0, got None"),
+    (lambda m: m.update(seed=-1),
+     "bad checkpoint meta: seed must be an integer >= 0, got -1"),
+    (lambda m: m.update(seed=1.5),
+     "bad checkpoint meta: seed must be an integer >= 0, got 1.5"),
+    (lambda m: m.update(dtype="float16"),
+     "checkpoint dtype must be float32 or float64, got 'float16'"),
+    (lambda m: m.update(extra=5),
+     "checkpoint extra must be an object whose bundle_sha256 is a string, got 5"),
+    (lambda m: m.update(extra={"bundle_sha256": 5}),
+     "checkpoint extra must be an object whose bundle_sha256 is a string, "
+     "got {'bundle_sha256': 5}"),
+], ids=["config-not-object", "unknown-key", "missing-key", "bad-value",
+        "no-seed", "negative-seed", "float-seed", "float16", "extra-not-object",
+        "extra-digest-not-string"])
+def test_checkpoint_meta_is_checked(tmp_path, tiny_config, capsys, edit, why):
+    bundle = make_bundle(tmp_path)
+    cfg = ModelConfig(num_nodes=load_bundle(bundle)[3].num_nodes, **TINY["model"])
+    save_checkpoint(tmp_path / "good.bin", Model(cfg, seed=3))
+    arrays, meta = load_arrays(tmp_path / "good.bin")
+    edit(meta)
+    bad = tmp_path / "bad.bin"
+    save_arrays(bad, arrays, meta=meta)
+    out = tmp_path / "eval" / "report.json"
+    code = main(["evaluate", "--bundle", str(bundle), "--model", str(bad),
+                 "--config", str(tiny_config), "--seed", "3", "--out", str(out)])
+    assert code == 1
+    assert capsys.readouterr().err == f"error: {bad}: {why}\n"
+    assert not out.parent.exists()
+
+
+@pytest.mark.parametrize("field", ["num_nodes", "bipartite", "src", "dst", "t"])
+def test_bundle_without_a_field_names_it(tmp_path, capsys, field):
+    arrays, meta = load_arrays(make_bundle(tmp_path))
+    if field in meta:
+        del meta[field]
+        what = f"meta field {field!r}"
+    else:
+        del arrays[field]
+        what = f"array {field!r}"
+    bad = tmp_path / "bad.bin"
+    save_arrays(bad, arrays, meta=meta)
+    capsys.readouterr()
+    run = tmp_path / "run"
+    assert main(["train", "--bundle", str(bad), "--seed", "3",
+                 "--out", str(run)]) == 1
+    assert capsys.readouterr().err == f"error: {bad}: bundle has no {what}\n"
+    assert not run.exists()
+
+
 def test_bipartite_bundle_trains_and_ranks(tmp_path, tiny_config):
     # string ids; the names n5..n9 occur as sources and as destinations,
     # which a bipartite bundle keeps apart
@@ -270,16 +329,17 @@ def test_bipartite_bundle_trains_and_ranks(tmp_path, tiny_config):
         assert np.isin(negs, meta.dst_nodes).all()
         assert not np.isin(negs, src).any()
 
-    # no source is in the destination pool, so the flag changes nothing
+    # no source is in the destination pool, so eval_negatives' flag
+    # changes nothing and training draws no source either
     pool = meta.candidate_pool()
-    index = build_index(src, dst, t, meta.num_nodes)
     for sl in (slice(280, 340), slice(340, 400)):
         np.testing.assert_array_equal(
             eval_negatives(src, dst, t, sl, pool, 5, 3, bipartite=True),
             eval_negatives(src, dst, t, sl, pool, 5, 3, bipartite=False))
-    np.testing.assert_array_equal(
-        train_negatives(index, src, t, 280, pool, 3, 0, bipartite=True),
-        train_negatives(index, src, t, 280, pool, 3, 0, bipartite=False))
+    negs = train_negatives(build_index(src, dst, t, meta.num_nodes), src, t,
+                           280, pool, 3, 0)
+    assert np.isin(negs, meta.dst_nodes).all()
+    assert not np.isin(negs, src).any()
 
 
 def test_split_manifest(tmp_path):

@@ -118,6 +118,29 @@ def test_evaluate_skips_cold_sources(eval_setup):
     assert rep.n_ranked == 4
 
 
+def test_non_finite_score_names_its_bundle_row(eval_setup):
+    # a NaN positive compares false with every negative, so unchecked it
+    # would rank first and one NaN parameter would give MRR 1.0
+    src, dst, t, index, splits, negs = eval_setup
+    sl = splits.slices()["val"]
+    cfg = ModelConfig(num_nodes=41, dim=8, heads=2, layers=1, k=4)
+    model = Model(cfg, seed=4, dtype=np.float64)
+    model.params["head.b2"].data[:] = np.nan
+    with pytest.raises(ValueError, match=rf"^bundle row {sl.start}: "):
+        evaluate(model, index, src, dst, t, sl, negs)
+
+    # node 40 has no events, so only the row that ranks it scores NaN
+    model = Model(cfg, seed=4, dtype=np.float64)
+    model.params["emb"].data[40] = np.nan
+    negs2 = negs.copy()
+    negs2[37, 3] = 40
+    index41 = build_index(src, dst, t, 41)
+    with pytest.raises(ValueError, match=rf"^bundle row {sl.start + 37}: "
+                                         r"the model's score is not finite$"):
+        evaluate(model, index41, src, dst, t, sl, negs2, batch_size=10)
+    assert evaluate(model, index41, src, dst, t, sl, negs).n_ranked > 0
+
+
 def test_edgebank_evaluate_and_report_json(eval_setup, tmp_path):
     src, dst, t, index, splits, negs = eval_setup
     sl = splits.slices()["val"]
