@@ -246,7 +246,6 @@ class QueryBatch:
     nbr_peer: np.ndarray     # [B, k] int64, -1 on padding
     nbr_time: np.ndarray     # [B, k] float64
     nbr_mask: np.ndarray     # [B, k] float64, 1 real / 0 pad
-    nbr_dt: np.ndarray       # [B, k] float64, t - event time on real slots
     cand_dt: np.ndarray      # [B, C] float64, elapsed since candidate's last activity
     cand_dt_known: np.ndarray  # [B, C] int8, 0 when the candidate was never active
     cand_repeat: np.ndarray  # [B, C] int64, prior (src, cand) edge count
@@ -282,7 +281,6 @@ def assemble_batch(index: NeighborIndex, src_q, t_q, cand, k) -> Optional[QueryB
 
     B, C = cand.shape
     mask = (peer >= 0).astype(np.float64)
-    dt_nbr = (t_q[:, None] - time) * mask
 
     flat_cand = cand.ravel()
     flat_t = np.repeat(t_q, C)
@@ -293,7 +291,7 @@ def assemble_batch(index: NeighborIndex, src_q, t_q, cand, k) -> Optional[QueryB
 
     return QueryBatch(
         src=src_q, t=t_q, cand=cand,
-        nbr_peer=peer, nbr_time=time, nbr_mask=mask, nbr_dt=dt_nbr,
+        nbr_peer=peer, nbr_time=time, nbr_mask=mask,
         cand_dt=cand_dt, cand_dt_known=cand_dt_known, cand_repeat=cand_repeat,
         kept_rows=kept_rows, skipped_cold=skipped,
     )

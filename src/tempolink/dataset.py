@@ -211,8 +211,8 @@ def load_bundle(path):
 
     The container checks its own sha256, so a corrupted or tampered
     bundle raises instead of feeding garbage into a run; so does any
-    other kind of container, and a bundle without one of its meta fields
-    or arrays.
+    other kind of container, and a bundle that lacks a meta field or an
+    array or whose meta disagrees with its arrays, naming file and field.
     """
     arrays, core = load_arrays(path)
     if core.get("kind") != BUNDLE_KIND:
@@ -221,9 +221,20 @@ def load_bundle(path):
     missing += [f"array {k!r}" for k in ("src", "dst", "t") if k not in arrays]
     if missing:
         raise ValueError(f"{path}: bundle has no {', '.join(missing)}")
-    meta = GraphMeta(
-        num_nodes=core["num_nodes"],
-        bipartite=core["bipartite"],
-        dst_nodes=arrays.get("dst_nodes"),
-    )
+    n, bipartite = core["num_nodes"], core["bipartite"]
+    if type(n) is not int or n < 1:
+        raise ValueError(
+            f"{path}: bundle meta num_nodes must be an integer >= 1, got {n!r}")
+    if type(bipartite) is not bool:
+        raise ValueError(
+            f"{path}: bundle meta bipartite must be true or false, got {bipartite!r}")
+    if bipartite and "dst_nodes" not in arrays:
+        raise ValueError(f"{path}: bipartite bundle has no array 'dst_nodes'")
+    for name in ("src", "dst", "dst_nodes"):
+        ids = arrays.get(name, np.zeros(0))
+        out = np.flatnonzero((ids < 0) | (ids >= n))
+        if out.size:
+            raise ValueError(f"{path}: {name} id {ids[out[0]]} at position "
+                             f"{out[0]} is outside [0, num_nodes={n})")
+    meta = GraphMeta(n, bipartite, arrays.get("dst_nodes"))
     return arrays["src"], arrays["dst"], arrays["t"], meta

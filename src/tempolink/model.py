@@ -37,7 +37,7 @@ class ModelConfig:
     p_emb: float = 0.2
     use_elapsed: bool = True
     use_repeat: bool = False
-    positional: str = "index"  # "index", "interval", or "none"
+    positional: str = "index"  # "index" (learned table by recency) or "none"
 
     def __post_init__(self):
         for name, lo in (("num_nodes", 1), ("dim", 1), ("heads", 1), ("k", 1),
@@ -53,8 +53,9 @@ class ModelConfig:
                 raise ValueError(f"{name} must be true or false, got {flag!r}")
         if self.dim % self.heads:
             raise ValueError(f"dim {self.dim} not divisible by heads {self.heads}")
-        if self.positional not in ("index", "interval", "none"):
-            raise ValueError(f"unknown positional mode {self.positional!r}")
+        if self.positional not in ("index", "none"):
+            raise ValueError(
+                f"positional must be 'index' or 'none', got {self.positional!r}")
 
     def head_width(self):
         return self.dim // self.heads
@@ -90,10 +91,6 @@ def init_params(cfg: ModelConfig, seed: int, dtype=np.float32):
 
     if cfg.positional == "index":
         p["pos"] = _normal(seed, "pos", (cfg.k, d), scale, dtype)
-    elif cfg.positional == "interval":
-        p["tpos.w"] = _glorot(seed, "tpos.w", 1, d, dtype)
-        p["tpos.b"] = np.zeros(d, dtype=dtype)
-        p["tpos.re"] = _glorot(seed, "tpos.re", 2 * d, d, dtype)
 
     for layer in range(cfg.layers):
         for w in ("wq", "wk", "wv", "wo"):
@@ -143,10 +140,6 @@ class Model:
             # slot k-1 is the most recent event and takes position 0
             pos_idx = np.arange(k - 1, -1, -1, dtype=np.int64)
             s = s + gather_rows(p["pos"], pos_idx)
-        elif cfg.positional == "interval":
-            dt = np.log1p(batch.nbr_dt).astype(self.dtype)[:, :, None]
-            enc = dense(Tensor(dt), p["tpos.w"], p["tpos.b"])
-            s = concat([s, enc], axis=-1) @ p["tpos.re"]
 
         s = s * Tensor(mask[:, :, None])  # padded slots contribute exact zeros
         return s, mask
@@ -237,6 +230,10 @@ class Model:
         return {k: t.data for k, t in self.params.items()}
 
     def load_state(self, arrays):
+        stray = sorted(set(arrays) - set(self.params))
+        if stray:
+            raise ValueError(
+                f"checkpoint array {stray[0]} is no parameter of this model")
         for k, t in self.params.items():
             if k not in arrays:
                 raise ValueError(f"checkpoint missing parameter {k}")
@@ -255,14 +252,3 @@ def bpr_loss(scores: Tensor) -> Tensor:
         raise ValueError("pairwise loss needs exactly one negative per positive")
     pos_minus_neg = scores @ Tensor(np.array([[1.0], [-1.0]], dtype=scores.dtype))
     return (pos_minus_neg * -1.0).softplus().mean()
-
-
-def bce_loss(scores: Tensor) -> Tensor:
-    """Binary cross-entropy: positive in column 0, negatives everywhere else.
-
-    softplus(-pos) = -log sigmoid(pos) and softplus(neg) = -log(1 - sigmoid(neg)).
-    """
-    B, C = scores.shape
-    sign = np.ones(C, dtype=scores.dtype)
-    sign[0] = -1.0
-    return (scores * sign).softplus().sum() * (1.0 / (B * C))

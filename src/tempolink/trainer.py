@@ -10,7 +10,7 @@ from .array_io import load_arrays, save_arrays
 from .data import (assemble_batch, require_int, require_real, rng_for,
                    shuffle_order, train_negatives)
 from .evaluate import evaluate
-from .model import Model, ModelConfig, bce_loss, bpr_loss
+from .model import Model, ModelConfig, bpr_loss
 from .optim import Adam
 
 CHECKPOINT_KIND = "tempolink-model"
@@ -22,15 +22,15 @@ class TrainConfig:
     lr: float = 1e-4
     max_epochs: int = 100
     patience: int = 5
-    loss: str = "bpr"  # or "bce"
+    loss: str = "bpr"  # the only loss; kept so configs that name it load
 
     def __post_init__(self):
         for name, lo in (("batch_size", 1), ("max_epochs", 1), ("patience", 0)):
             require_int(name, getattr(self, name), lo)
         if not (np.isfinite(require_real("lr", self.lr)) and self.lr > 0):
             raise ValueError(f"lr must be finite and > 0, got {self.lr!r}")
-        if self.loss not in ("bpr", "bce"):
-            raise ValueError(f"unknown loss {self.loss!r}")
+        if self.loss != "bpr":
+            raise ValueError(f"loss must be 'bpr', got {self.loss!r}")
 
 
 def train_epoch(model, opt, index, src, dst, t, train_end, pool, seed, epoch,
@@ -43,7 +43,6 @@ def train_epoch(model, opt, index, src, dst, t, train_end, pool, seed, epoch,
     """
     negs = train_negatives(index, src, t, train_end, pool, seed, epoch)
     order = shuffle_order(train_end, seed, epoch)
-    loss_fn = bpr_loss if tcfg.loss == "bpr" else bce_loss
     total, n_rows, skipped = 0.0, 0, 0
     for step, lo in enumerate(range(0, train_end, tcfg.batch_size)):
         rows = order[lo: lo + tcfg.batch_size]
@@ -56,7 +55,7 @@ def train_epoch(model, opt, index, src, dst, t, train_end, pool, seed, epoch,
         scores = model.score(
             batch, training=True, rng=rng_for(seed, "dropout", epoch, step)
         )
-        loss = loss_fn(scores)
+        loss = bpr_loss(scores)
         val = float(loss.data)
         if not np.isfinite(val):
             raise RuntimeError(
@@ -161,6 +160,9 @@ def load_checkpoint(path) -> Model:
         raise ValueError(f"{path}: checkpoint extra must be an object whose "
                          f"bundle_sha256 is a string, got {extra!r}")
     model = Model(cfg, seed=seed, dtype=np.dtype(meta["dtype"]))
-    model.load_state(arrays)
+    try:
+        model.load_state(arrays)
+    except ValueError as e:
+        raise ValueError(f"{path}: {e}") from None
     model.extra = extra
     return model

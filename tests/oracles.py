@@ -110,9 +110,6 @@ def reference_scores(params, cfg, batch):
             e = params["emb"][batch.nbr_peer[b, j]].astype(np.float64)
             if cfg.positional == "index":
                 e = e + params["pos"][k - 1 - j]
-            elif cfg.positional == "interval":
-                enc = np.log1p(batch.nbr_dt[b, j]) * params["tpos.w"][0] + params["tpos.b"]
-                e = np.concatenate([e, enc]) @ params["tpos.re"]
             s_rows[j] = e
         h = params["emb"][batch.cand[b]].astype(np.float64)  # [C, d]
         for layer in range(cfg.layers):

@@ -91,7 +91,6 @@ def test_positional_pathway_changes_order_sensitivity():
         **batch.__dict__,
         "nbr_peer": batch.nbr_peer[:, ::-1].copy(),
         "nbr_time": batch.nbr_time[:, ::-1].copy(),
-        "nbr_dt": batch.nbr_dt[:, ::-1].copy(),
     })
     with_pos = Model(ModelConfig(num_nodes=5, dim=8, heads=2, layers=1, k=2),
                      seed=5, dtype=np.float64)

@@ -252,6 +252,8 @@ def test_checkpoint_must_come_from_the_bundle(tmp_path, tiny_config, capsys):
      "bad checkpoint meta: seed must be an integer >= 0, got -1"),
     (lambda m: m.update(seed=1.5),
      "bad checkpoint meta: seed must be an integer >= 0, got 1.5"),
+    (lambda m: m["config"].update(positional="interval"),
+     "bad checkpoint meta: positional must be 'index' or 'none', got 'interval'"),
     (lambda m: m.update(dtype="float16"),
      "checkpoint dtype must be float32 or float64, got 'float16'"),
     (lambda m: m.update(extra=5),
@@ -260,8 +262,8 @@ def test_checkpoint_must_come_from_the_bundle(tmp_path, tiny_config, capsys):
      "checkpoint extra must be an object whose bundle_sha256 is a string, "
      "got {'bundle_sha256': 5}"),
 ], ids=["config-not-object", "unknown-key", "missing-key", "bad-value",
-        "no-seed", "negative-seed", "float-seed", "float16", "extra-not-object",
-        "extra-digest-not-string"])
+        "no-seed", "negative-seed", "float-seed", "positional-interval",
+        "float16", "extra-not-object", "extra-digest-not-string"])
 def test_checkpoint_meta_is_checked(tmp_path, tiny_config, capsys, edit, why):
     bundle = make_bundle(tmp_path)
     cfg = ModelConfig(num_nodes=load_bundle(bundle)[3].num_nodes, **TINY["model"])
@@ -276,6 +278,75 @@ def test_checkpoint_meta_is_checked(tmp_path, tiny_config, capsys, edit, why):
     assert code == 1
     assert capsys.readouterr().err == f"error: {bad}: {why}\n"
     assert not out.parent.exists()
+
+
+@pytest.mark.parametrize("edit,why", [
+    (lambda a: a.update({"tpos.w": np.zeros((1, 16), np.float32)}),
+     "checkpoint array tpos.w is no parameter of this model"),
+    (lambda a: a.pop("pos"), "checkpoint missing parameter pos"),
+    (lambda a: a.update(pos=np.zeros((3, 16), np.float32)),
+     "parameter pos: shape (3, 16) != (4, 16)"),
+], ids=["stray", "missing", "shape"])
+def test_checkpoint_arrays_must_match_the_model(tmp_path, tiny_config, capsys,
+                                                edit, why):
+    bundle = make_bundle(tmp_path)
+    cfg = ModelConfig(num_nodes=load_bundle(bundle)[3].num_nodes, **TINY["model"])
+    save_checkpoint(tmp_path / "good.bin", Model(cfg, seed=3))
+    arrays, meta = load_arrays(tmp_path / "good.bin")
+    edit(arrays)
+    bad = tmp_path / "bad.bin"
+    save_arrays(bad, arrays, meta=meta)
+    out = tmp_path / "eval" / "report.json"
+    code = main(["evaluate", "--bundle", str(bundle), "--model", str(bad),
+                 "--config", str(tiny_config), "--seed", "3", "--out", str(out)])
+    assert code == 1
+    assert capsys.readouterr().err == f"error: {bad}: {why}\n"
+    assert not out.parent.exists()
+
+
+def _bad_id(name, ids, n):
+    i = int(np.flatnonzero((ids < 0) | (ids >= n))[0])
+    return f"{name} id {ids[i]} at position {i} is outside [0, num_nodes={n})"
+
+
+def _set(arrays, name, i, value):
+    arrays[name] = arrays[name].copy()
+    arrays[name][i] = value
+
+
+@pytest.mark.parametrize("bipartite,edit,why", [
+    (False, lambda a, m: m.update(num_nodes=2),
+     lambda a, m: _bad_id("src", a["src"], 2)),
+    (False, lambda a, m: _set(a, "dst", 5, -1),
+     lambda a, m: _bad_id("dst", a["dst"], m["num_nodes"])),
+    (True, lambda a, m: _set(a, "dst_nodes", -1, m["num_nodes"]),
+     lambda a, m: _bad_id("dst_nodes", a["dst_nodes"], m["num_nodes"])),
+    (False, lambda a, m: m.update(num_nodes="3"),
+     lambda a, m: "bundle meta num_nodes must be an integer >= 1, got '3'"),
+    (False, lambda a, m: m.update(num_nodes=0),
+     lambda a, m: "bundle meta num_nodes must be an integer >= 1, got 0"),
+    (False, lambda a, m: m.update(num_nodes=True),
+     lambda a, m: "bundle meta num_nodes must be an integer >= 1, got True"),
+    (False, lambda a, m: m.update(bipartite=1),
+     lambda a, m: "bundle meta bipartite must be true or false, got 1"),
+    (False, lambda a, m: m.update(bipartite=True),
+     lambda a, m: "bipartite bundle has no array 'dst_nodes'"),
+], ids=["src-id", "dst-id", "dst_nodes-id", "num_nodes-string", "num_nodes-zero",
+        "num_nodes-bool", "bipartite-int", "bipartite-without-dst_nodes"])
+def test_bundle_meta_must_agree_with_its_arrays(tmp_path, capsys, bipartite,
+                                                edit, why):
+    good = tmp_path / "good.bin"
+    write_events(tmp_path / "events.csv")
+    ingest(tmp_path / "events.csv", good, bipartite=bipartite)
+    arrays, meta = load_arrays(good)
+    edit(arrays, meta)
+    bad = tmp_path / "bad.bin"
+    save_arrays(bad, arrays, meta=meta)
+    run = tmp_path / "run"
+    assert main(["train", "--bundle", str(bad), "--seed", "3",
+                 "--out", str(run)]) == 1
+    assert capsys.readouterr().err == f"error: {bad}: {why(arrays, meta)}\n"
+    assert not run.exists()
 
 
 @pytest.mark.parametrize("field", ["num_nodes", "bipartite", "src", "dst", "t"])
@@ -560,12 +631,12 @@ def test_bad_config_key_rejected(tmp_path, capsys, section, key):
     ("model", "p_attn", False), ("model", "p_attn", "0.1"),
     ("model", "p_hidden", None), ("model", "p_emb", "0.1"),
     ("model", "use_repeat", "0"), ("model", "use_repeat", "false"),
-    ("model", "use_elapsed", 1),
+    ("model", "use_elapsed", 1), ("model", "positional", "interval"),
     ("train", "batch_size", -5), ("train", "batch_size", 0),
     ("train", "batch_size", 2.5),
     ("train", "max_epochs", 0), ("train", "patience", -1),
     ("train", "lr", -1), ("train", "lr", float("inf")),
-    ("train", "lr", True), ("train", "lr", "0.1"),
+    ("train", "lr", True), ("train", "lr", "0.1"), ("train", "loss", "bce"),
     ("split", "train_frac", "0.7"), ("split", "val_frac", True),
     (None, "q_eval", 0), (None, "q_eval", 2.5), (None, "--q", 0),
 ])

@@ -385,9 +385,7 @@ def test_assemble_batch_matches_per_query_oracle(batch_setup):
         assert m > 0
         assert batch.nbr_peer[r, k - m:].tolist() == want_p
         assert batch.nbr_mask[r].tolist() == [0.0] * (k - m) + [1.0] * m
-        np.testing.assert_allclose(
-            batch.nbr_dt[r, k - m:], q_t[i] - np.array(want_t), rtol=0, atol=0
-        )
+        assert batch.nbr_time[r, k - m:].tolist() == want_t
         for c in range(C):
             d = int(cand[i, c])
             last = oracle.last_activity(d, float(q_t[i]))

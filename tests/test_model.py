@@ -6,7 +6,7 @@ import pytest
 from oracles import random_graph, reference_bpr, reference_scores
 from tempolink.autodiff import Tensor, grad_check, no_grad
 from tempolink.data import QueryBatch, assemble_batch
-from tempolink.model import Model, ModelConfig, bce_loss, bpr_loss, init_params
+from tempolink.model import Model, ModelConfig, bpr_loss, init_params
 from tempolink.store import build_index
 
 
@@ -30,7 +30,7 @@ def np_params(model):
     return {k: t.data.copy() for k, t in model.params.items()}
 
 
-@pytest.mark.parametrize("positional", ["index", "interval", "none"])
+@pytest.mark.parametrize("positional", ["index", "none"])
 @pytest.mark.parametrize("layers,heads,use_repeat", [(1, 2, False), (2, 4, True)])
 def test_scores_match_loop_reference(positional, layers, heads, use_repeat):
     cfg = ModelConfig(
@@ -111,7 +111,7 @@ def test_candidate_permutation_permutes_scores():
     permuted = QueryBatch(
         src=batch.src, t=batch.t, cand=batch.cand[:, perm],
         nbr_peer=batch.nbr_peer, nbr_time=batch.nbr_time,
-        nbr_mask=batch.nbr_mask, nbr_dt=batch.nbr_dt,
+        nbr_mask=batch.nbr_mask,
         cand_dt=batch.cand_dt[:, perm],
         cand_dt_known=batch.cand_dt_known[:, perm],
         cand_repeat=batch.cand_repeat[:, perm],
@@ -131,7 +131,7 @@ def test_scores_do_not_depend_on_batch_composition():
     half = QueryBatch(
         src=batch.src[: B // 2], t=batch.t[: B // 2], cand=batch.cand[: B // 2],
         nbr_peer=batch.nbr_peer[: B // 2], nbr_time=batch.nbr_time[: B // 2],
-        nbr_mask=batch.nbr_mask[: B // 2], nbr_dt=batch.nbr_dt[: B // 2],
+        nbr_mask=batch.nbr_mask[: B // 2],
         cand_dt=batch.cand_dt[: B // 2],
         cand_dt_known=batch.cand_dt_known[: B // 2],
         cand_repeat=batch.cand_repeat[: B // 2],
@@ -147,7 +147,7 @@ def test_fully_padded_row_is_rejected():
     bad = QueryBatch(
         src=Z(1, dtype=np.int64), t=Z(1), cand=Z((1, 2), dtype=np.int64),
         nbr_peer=np.full((1, 3), -1, dtype=np.int64), nbr_time=Z((1, 3)),
-        nbr_mask=Z((1, 3)), nbr_dt=Z((1, 3)),
+        nbr_mask=Z((1, 3)),
         cand_dt=Z((1, 2)), cand_dt_known=Z((1, 2), dtype=np.int8),
         cand_repeat=Z((1, 2), dtype=np.int64),
         kept_rows=Z(1, dtype=np.int64), skipped_cold=0,
@@ -180,7 +180,7 @@ def test_padded_slots_receive_zero_attention_mass():
 
 
 def test_full_pipeline_gradients():
-    # end-to-end gradient through attention, gather, side features, losses
+    # end-to-end gradient through attention, gather, side features, loss
     cfg = ModelConfig(
         num_nodes=20, dim=8, heads=2, layers=2, k=4, use_repeat=True,
         p_attn=0.0, p_hidden=0.0, p_emb=0.0,
@@ -193,10 +193,6 @@ def test_full_pipeline_gradients():
     worst = max(errs.values())
     assert worst < 1e-4, f"worst rel err {worst}: {errs}"
 
-    errs2 = grad_check(lambda: bce_loss(model.score(batch)), model.params,
-                       max_entries=10)
-    assert max(errs2.values()) < 1e-4
-
 
 def test_bpr_loss_matches_reference_and_shape_guard():
     rng = np.random.default_rng(13)
@@ -205,21 +201,6 @@ def test_bpr_loss_matches_reference_and_shape_guard():
     assert float(loss.data) == pytest.approx(reference_bpr(raw), rel=1e-12)
     with pytest.raises(ValueError):
         bpr_loss(Tensor(rng.standard_normal((4, 3))))
-
-
-@pytest.mark.parametrize("C", [2, 3, 8])
-def test_bce_loss_matches_numpy_formula(C):
-    raw = np.random.default_rng(C).standard_normal((50, C)) * 3.0
-    # -log sigmoid(pos) for column 0, -log(1 - sigmoid(neg)) for the rest
-    want = (np.log1p(np.exp(-raw[:, 0])).sum()
-            + np.log1p(np.exp(raw[:, 1:])).sum()) / raw.size
-    assert float(bce_loss(Tensor(raw)).data) == pytest.approx(want, rel=1e-12)
-
-
-def test_bce_loss_direction():
-    good = Tensor(np.array([[5.0, -5.0], [4.0, -6.0]]))
-    bad = Tensor(np.array([[-5.0, 5.0], [-4.0, 6.0]]))
-    assert float(bce_loss(good).data) < float(bce_loss(bad).data)
 
 
 def test_init_is_seed_deterministic_and_name_keyed():
@@ -245,8 +226,10 @@ def test_init_is_seed_deterministic_and_name_keyed():
 def test_config_validation():
     with pytest.raises(ValueError, match="divisible"):
         ModelConfig(num_nodes=5, dim=10, heads=3)
-    with pytest.raises(ValueError, match="positional"):
-        ModelConfig(num_nodes=5, positional="fourier")
+    for bad in ("fourier", "interval"):
+        with pytest.raises(ValueError,
+                           match=f"positional must be 'index' or 'none', got {bad!r}"):
+            ModelConfig(num_nodes=5, positional=bad)
     for name in ("use_elapsed", "use_repeat"):
         for bad in ("0", "false", 1, None):
             with pytest.raises(ValueError,
@@ -313,7 +296,7 @@ def test_float32_model_computes_in_float32_end_to_end():
         assert p.grad is not None and p.grad.dtype == np.float32, name
 
 
-@pytest.mark.parametrize("positional", ["index", "interval"])
+@pytest.mark.parametrize("positional", ["index", "none"])
 def test_float32_scores_match_float64_reference(positional):
     cfg = ModelConfig(num_nodes=30, dim=16, heads=2, layers=2, k=6,
                       use_repeat=True, positional=positional,

@@ -117,29 +117,13 @@ def test_best_epoch_params_are_restored(ring):
     assert rep.mrr == pytest.approx(best, rel=1e-9)
 
 
-def test_bce_loss_trains_finite_and_deterministic(ring, tmp_path):
-    src, dst, t, index, splits, pool, negs = ring
-    digests = []
-    for name in ("a", "b"):
-        model = small_model(9)
-        tcfg = TrainConfig(batch_size=64, lr=5e-3, max_epochs=3, patience=3,
-                           loss="bce")
-        _, history = train(model, index, src, dst, t, splits, pool, 9,
-                           tcfg=tcfg, val_negs=negs)
-        assert len(history) == 3
-        assert all(np.isfinite(r["train_loss"]) for r in history)
-        path = tmp_path / f"{name}.bin"
-        save_checkpoint(path, model)
-        digests.append(hashlib.sha256(path.read_bytes()).hexdigest())
-    assert digests[0] == digests[1]
-
-
 def test_nonfinite_loss_aborts_with_batch_ordinal(ring):
     src, dst, t, index, splits, pool, _ = ring
     model = small_model(5)
     model.params["head.w2"].data[:] = np.nan
     opt = Adam(model.params)
-    with pytest.raises(RuntimeError, match=r"epoch 0 batch 0"):
+    with pytest.raises(RuntimeError, match=r"epoch 0 batch 0"), \
+            pytest.warns(RuntimeWarning, match="invalid value"):
         train_epoch(model, opt, index, src, dst, t, splits.train_end, pool,
                     seed=5, epoch=0, tcfg=TrainConfig(batch_size=64))
 
@@ -170,5 +154,6 @@ def test_checkpoint_kind_guard(tmp_path):
 
 
 def test_train_config_validation():
-    with pytest.raises(ValueError, match="loss"):
-        TrainConfig(loss="hinge")
+    for bad in ("hinge", "bce"):
+        with pytest.raises(ValueError, match=f"loss must be 'bpr', got {bad!r}"):
+            TrainConfig(loss=bad)
