@@ -240,8 +240,6 @@ class QueryBatch:
     column 0 is the positive during training and ranking.
     """
 
-    src: np.ndarray          # [B] int64
-    t: np.ndarray            # [B] float64
     cand: np.ndarray         # [B, C] int64
     nbr_peer: np.ndarray     # [B, k] int64, -1 on padding
     nbr_time: np.ndarray     # [B, k] float64
@@ -290,8 +288,7 @@ def assemble_batch(index: NeighborIndex, src_q, t_q, cand, k) -> Optional[QueryB
     cand_repeat = pair_counts(index, src_q, t_q, cand)
 
     return QueryBatch(
-        src=src_q, t=t_q, cand=cand,
-        nbr_peer=peer, nbr_time=time, nbr_mask=mask,
+        cand=cand, nbr_peer=peer, nbr_time=time, nbr_mask=mask,
         cand_dt=cand_dt, cand_dt_known=cand_dt_known, cand_repeat=cand_repeat,
         kept_rows=kept_rows, skipped_cold=skipped,
     )

@@ -15,7 +15,7 @@ from pathlib import Path
 import numpy as np
 
 from .array_io import load_arrays, save_arrays
-from .store import GraphMeta, validate_edges
+from .store import GraphMeta, check_ids, validate_edges
 
 BUNDLE_KIND = "tempolink-bundle"
 
@@ -195,8 +195,8 @@ def ingest(input_path, out_path, bipartite=False):
                          f"{token(i, 2).decode()} is not finite")
 
     order = np.argsort(t, kind="stable")
+    # valid by construction: ids are ranks below num_nodes, t is finite
     src, dst, t = ids[0::2][order], ids[1::2][order], t[order]
-    validate_edges(src, dst, t, num_nodes)
 
     arrays = {"src": src, "dst": dst, "t": t}
     if bipartite:
@@ -212,29 +212,29 @@ def load_bundle(path):
     The container checks its own sha256, so a corrupted or tampered
     bundle raises instead of feeding garbage into a run; so does any
     other kind of container, and a bundle that lacks a meta field or an
-    array or whose meta disagrees with its arrays, naming file and field.
+    array or whose meta or arrays break the rules, naming the file.
     """
     arrays, core = load_arrays(path)
-    if core.get("kind") != BUNDLE_KIND:
-        raise ValueError(f"{path}: not an event bundle")
-    missing = [f"meta field {k!r}" for k in ("num_nodes", "bipartite") if k not in core]
-    missing += [f"array {k!r}" for k in ("src", "dst", "t") if k not in arrays]
-    if missing:
-        raise ValueError(f"{path}: bundle has no {', '.join(missing)}")
-    n, bipartite = core["num_nodes"], core["bipartite"]
-    if type(n) is not int or n < 1:
-        raise ValueError(
-            f"{path}: bundle meta num_nodes must be an integer >= 1, got {n!r}")
-    if type(bipartite) is not bool:
-        raise ValueError(
-            f"{path}: bundle meta bipartite must be true or false, got {bipartite!r}")
-    if bipartite and "dst_nodes" not in arrays:
-        raise ValueError(f"{path}: bipartite bundle has no array 'dst_nodes'")
-    for name in ("src", "dst", "dst_nodes"):
-        ids = arrays.get(name, np.zeros(0))
-        out = np.flatnonzero((ids < 0) | (ids >= n))
-        if out.size:
-            raise ValueError(f"{path}: {name} id {ids[out[0]]} at position "
-                             f"{out[0]} is outside [0, num_nodes={n})")
+    try:
+        if core.get("kind") != BUNDLE_KIND:
+            raise ValueError("not an event bundle")
+        missing = [f"meta field {k!r}" for k in ("num_nodes", "bipartite")
+                   if k not in core]
+        missing += [f"array {k!r}" for k in ("src", "dst", "t") if k not in arrays]
+        if missing:
+            raise ValueError(f"bundle has no {', '.join(missing)}")
+        n, bipartite = core["num_nodes"], core["bipartite"]
+        if type(n) is not int or n < 1:
+            raise ValueError(f"bundle meta num_nodes must be an integer >= 1, got {n!r}")
+        if type(bipartite) is not bool:
+            raise ValueError(
+                f"bundle meta bipartite must be true or false, got {bipartite!r}")
+        if bipartite and "dst_nodes" not in arrays:
+            raise ValueError("bipartite bundle has no array 'dst_nodes'")
+        validate_edges(arrays["src"], arrays["dst"], arrays["t"], n)
+        if "dst_nodes" in arrays:
+            check_ids("dst_nodes", arrays["dst_nodes"], n)
+    except ValueError as e:
+        raise ValueError(f"{path}: {e}") from None
     meta = GraphMeta(n, bipartite, arrays.get("dst_nodes"))
     return arrays["src"], arrays["dst"], arrays["t"], meta

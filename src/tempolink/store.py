@@ -50,37 +50,39 @@ class GraphMeta:
 
     def candidate_pool(self) -> np.ndarray:
         if self.bipartite:
-            if self.dst_nodes is None:
-                raise ValueError("bipartite graph without a destination partition")
             return np.asarray(self.dst_nodes, dtype=np.int64)
         return np.arange(self.num_nodes, dtype=np.int64)
 
 
+def check_ids(name, ids, num_nodes):
+    """Raise unless ids are 1-d integers in [0, num_nodes), naming the first bad one."""
+    if ids.ndim != 1 or ids.dtype.kind not in "iu":
+        raise ValueError(f"{name} ids must be a 1-d array of integers, "
+                         f"got {ids.ndim}-d {ids.dtype}")
+    out = np.flatnonzero((ids < 0) | (ids >= num_nodes))
+    if out.size:
+        raise ValueError(f"{name} id {ids[out[0]]} at position {out[0]} "
+                         f"is outside [0, num_nodes={num_nodes})")
+
+
 def validate_edges(src, dst, t, num_nodes):
-    """Check times, ordering and id ranges, raising with the first bad ordinal."""
-    src = np.asarray(src)
-    dst = np.asarray(dst)
-    t = np.asarray(t)
+    """Check what `build_index` assumes, raising at the first bad edge: 1-d
+    arrays of equal length, finite real times in order, ids in range."""
+    src, dst, t = map(np.asarray, (src, dst, t))
     if not (src.shape == dst.shape == t.shape) or src.ndim != 1:
         raise ValueError("src, dst, t must be 1-d arrays of equal length")
-    if src.size:
-        bad = np.nonzero(~np.isfinite(t))[0]
-        if bad.size:
-            i = int(bad[0])
-            raise ValueError(f"timestamp {t[i]} at edge {i} is not finite")
-        drop = np.nonzero(np.diff(t) < 0)[0]
-        if drop.size:
-            i = int(drop[0]) + 1
-            raise ValueError(
-                f"timestamps not sorted: edge {i} has t={t[i]} after t={t[i - 1]}"
-            )
-        for name, arr in (("src", src), ("dst", dst)):
-            bad = np.nonzero((arr < 0) | (arr >= num_nodes))[0]
-            if bad.size:
-                i = int(bad[0])
-                raise ValueError(
-                    f"{name} id {arr[i]} at edge {i} outside [0, {num_nodes})"
-                )
+    if t.dtype.kind not in "iuf":
+        raise ValueError(f"timestamps must be real numbers, got {t.dtype}")
+    bad = np.flatnonzero(~np.isfinite(t))
+    if bad.size:
+        raise ValueError(f"timestamp {t[bad[0]]} at edge {bad[0]} is not finite")
+    drop = np.flatnonzero(np.diff(t) < 0)
+    if drop.size:
+        i = drop[0] + 1
+        raise ValueError(f"timestamps not sorted: edge {i} has t={t[i]} "
+                         f"after t={t[i - 1]}")
+    check_ids("src", src, num_nodes)
+    check_ids("dst", dst, num_nodes)
 
 
 def sorted_search(keys, needles):
@@ -202,12 +204,12 @@ class NeighborIndex:
 def build_index(src, dst, t, num_nodes) -> NeighborIndex:
     """Build the three key-sorted layouts from time-sorted edge arrays.
 
-    Raises ValueError when a key would not fit in int64.
+    The arrays must pass `validate_edges`, which `dataset.load_bundle` runs
+    on every bundle. Raises ValueError when a key would not fit in int64.
     """
     src = np.ascontiguousarray(src, dtype=np.int64)
     dst = np.ascontiguousarray(dst, dtype=np.int64)
     t = np.ascontiguousarray(t, dtype=np.float64)
-    validate_edges(src, dst, t, num_nodes)
     times, rank = np.unique(t, return_inverse=True)
     # pair-time keys stay below m * (m + 1), far inside int64 for any
     # array that fits

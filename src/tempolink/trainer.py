@@ -64,8 +64,8 @@ def train_epoch(model, opt, index, src, dst, t, train_end, pool, seed, epoch,
         opt.zero_grad()
         loss.backward()
         opt.step()
-        total += val * batch.src.shape[0]
-        n_rows += batch.src.shape[0]
+        total += val * batch.kept_rows.size
+        n_rows += batch.kept_rows.size
     return (total / max(n_rows, 1)), skipped
 
 

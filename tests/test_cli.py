@@ -331,8 +331,25 @@ def _set(arrays, name, i, value):
      lambda a, m: "bundle meta bipartite must be true or false, got 1"),
     (False, lambda a, m: m.update(bipartite=True),
      lambda a, m: "bipartite bundle has no array 'dst_nodes'"),
+    (False, lambda a, m: a.update(t=a["t"][:-5]),
+     lambda a, m: "src, dst, t must be 1-d arrays of equal length"),
+    (False, lambda a, m: a.update(t=a["t"][::-1].copy()),
+     lambda a, m: f"timestamps not sorted: edge 1 has t={a['t'][1]} "
+                  f"after t={a['t'][0]}"),
+    (False, lambda a, m: _set(a, "t", 3, np.nan),
+     lambda a, m: "timestamp nan at edge 3 is not finite"),
+    (False, lambda a, m: a.update(t=a["t"] > 500),
+     lambda a, m: "timestamps must be real numbers, got bool"),
+    (False, lambda a, m: a.update(src=a["src"] + 0.5),
+     lambda a, m: "src ids must be a 1-d array of integers, got 1-d float64"),
+    (True, lambda a, m: a.update(dst_nodes=a["dst_nodes"].astype(np.float64)),
+     lambda a, m: "dst_nodes ids must be a 1-d array of integers, got 1-d float64"),
+    (True, lambda a, m: a.update(dst_nodes=a["dst_nodes"][:, None]),
+     lambda a, m: "dst_nodes ids must be a 1-d array of integers, got 2-d int64"),
 ], ids=["src-id", "dst-id", "dst_nodes-id", "num_nodes-string", "num_nodes-zero",
-        "num_nodes-bool", "bipartite-int", "bipartite-without-dst_nodes"])
+        "num_nodes-bool", "bipartite-int", "bipartite-without-dst_nodes",
+        "t-short", "t-reversed", "t-nan", "t-bool", "src-float",
+        "dst_nodes-float", "dst_nodes-2d"])
 def test_bundle_meta_must_agree_with_its_arrays(tmp_path, capsys, bipartite,
                                                 edit, why):
     good = tmp_path / "good.bin"

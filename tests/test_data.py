@@ -376,10 +376,10 @@ def test_assemble_batch_matches_per_query_oracle(batch_setup):
     q_t = rng.uniform(50, 220, B)
     cand = rng.integers(0, 50, (B, C))
     batch = assemble_batch(index, q_src, q_t, cand, k)
-    assert batch.src.shape[0] + batch.skipped_cold == B
-    for r in range(batch.src.shape[0]):
+    assert batch.kept_rows.size + batch.skipped_cold == B
+    for r in range(batch.kept_rows.size):
         i = int(batch.kept_rows[r])
-        assert batch.src[r] == q_src[i] and batch.t[r] == q_t[i]
+        assert batch.cand[r].tolist() == cand[i].tolist()
         want_p, want_t = oracle.recent_neighbors(int(q_src[i]), float(q_t[i]), k)
         m = len(want_p)
         assert m > 0

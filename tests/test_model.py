@@ -109,9 +109,8 @@ def test_candidate_permutation_permutes_scores():
     batch = make_batch(seed=5)
     perm = np.random.default_rng(0).permutation(batch.cand.shape[1])
     permuted = QueryBatch(
-        src=batch.src, t=batch.t, cand=batch.cand[:, perm],
-        nbr_peer=batch.nbr_peer, nbr_time=batch.nbr_time,
-        nbr_mask=batch.nbr_mask,
+        cand=batch.cand[:, perm], nbr_peer=batch.nbr_peer,
+        nbr_time=batch.nbr_time, nbr_mask=batch.nbr_mask,
         cand_dt=batch.cand_dt[:, perm],
         cand_dt_known=batch.cand_dt_known[:, perm],
         cand_repeat=batch.cand_repeat[:, perm],
@@ -127,9 +126,9 @@ def test_scores_do_not_depend_on_batch_composition():
     model = Model(cfg, seed=2, dtype=np.float32)
     batch = make_batch(seed=7, B=20)
     full = model.score(batch).data
-    B = batch.src.shape[0]
+    B = batch.kept_rows.size
     half = QueryBatch(
-        src=batch.src[: B // 2], t=batch.t[: B // 2], cand=batch.cand[: B // 2],
+        cand=batch.cand[: B // 2],
         nbr_peer=batch.nbr_peer[: B // 2], nbr_time=batch.nbr_time[: B // 2],
         nbr_mask=batch.nbr_mask[: B // 2],
         cand_dt=batch.cand_dt[: B // 2],
@@ -145,7 +144,7 @@ def test_fully_padded_row_is_rejected():
     model = f64_model(cfg)
     Z = np.zeros
     bad = QueryBatch(
-        src=Z(1, dtype=np.int64), t=Z(1), cand=Z((1, 2), dtype=np.int64),
+        cand=Z((1, 2), dtype=np.int64),
         nbr_peer=np.full((1, 3), -1, dtype=np.int64), nbr_time=Z((1, 3)),
         nbr_mask=Z((1, 3)),
         cand_dt=Z((1, 2)), cand_dt_known=Z((1, 2), dtype=np.int8),

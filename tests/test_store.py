@@ -92,15 +92,15 @@ def test_unsorted_times_rejected_with_ordinal():
     dst = np.array([1, 2, 0], dtype=np.int64)
     t = np.array([5.0, 3.0, 9.0])
     with pytest.raises(ValueError, match="edge 1"):
-        build_index(src, dst, t, 3)
+        validate_edges(src, dst, t, 3)
 
 
 def test_out_of_range_id_rejected_with_ordinal():
     src = np.array([0, 1, 7], dtype=np.int64)
     dst = np.array([1, 2, 0], dtype=np.int64)
     t = np.array([1.0, 2.0, 3.0])
-    with pytest.raises(ValueError, match="edge 2"):
-        build_index(src, dst, t, 3)
+    with pytest.raises(ValueError, match="src id 7 at position 2"):
+        validate_edges(src, dst, t, 3)
     with pytest.raises(ValueError, match="dst id -1"):
         validate_edges(src[:2], np.array([1, -1]), t[:2], 3)
 
@@ -116,8 +116,6 @@ def test_candidate_pool():
     assert meta.candidate_pool().tolist() == list(range(10))
     meta2 = GraphMeta(num_nodes=10, bipartite=True, dst_nodes=np.array([7, 8, 9]))
     assert meta2.candidate_pool().tolist() == [7, 8, 9]
-    with pytest.raises(ValueError):
-        GraphMeta(num_nodes=10, bipartite=True).candidate_pool()
 
 
 def test_non_finite_times_rejected_with_ordinal():
