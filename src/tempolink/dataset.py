@@ -206,13 +206,30 @@ def ingest(input_path, out_path, bipartite=False):
     return dict(core, sha256=digest)
 
 
+def _check_partition(dst_nodes, src, dst):
+    """Raise unless dst_nodes is sorted, unique, holds every dst and no src,
+    naming the first offending id."""
+    step = np.flatnonzero(np.diff(dst_nodes) <= 0)
+    if step.size:
+        i = step[0] + 1
+        raise ValueError(f"dst_nodes must be sorted and unique: id {dst_nodes[i]} "
+                         f"at position {i} follows {dst_nodes[i - 1]}")
+    for name, ids, inside in (("dst", dst, True), ("src", src, False)):
+        bad = np.flatnonzero(np.isin(ids, dst_nodes) != inside)
+        if bad.size:
+            raise ValueError(f"{name} id {ids[bad[0]]} at edge {bad[0]} is "
+                             f"{'not ' if inside else ''}in dst_nodes")
+
+
 def load_bundle(path):
     """Read a bundle back: (src, dst, t, GraphMeta).
 
     The container checks its own sha256, so a corrupted or tampered
     bundle raises instead of feeding garbage into a run; so does any
     other kind of container, and a bundle that lacks a meta field or an
-    array or whose meta or arrays break the rules, naming the file.
+    array or whose meta or arrays break the rules, naming the file. A
+    bipartite bundle's `dst_nodes` must be what ingest writes: its
+    destinations, sorted and unique, and so no source.
     """
     arrays, core = load_arrays(path)
     try:
@@ -234,6 +251,8 @@ def load_bundle(path):
         validate_edges(arrays["src"], arrays["dst"], arrays["t"], n)
         if "dst_nodes" in arrays:
             check_ids("dst_nodes", arrays["dst_nodes"], n)
+        if bipartite:
+            _check_partition(arrays["dst_nodes"], arrays["src"], arrays["dst"])
     except ValueError as e:
         raise ValueError(f"{path}: {e}") from None
     meta = GraphMeta(n, bipartite, arrays.get("dst_nodes"))

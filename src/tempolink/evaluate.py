@@ -7,7 +7,7 @@ from dataclasses import asdict, dataclass, field
 import numpy as np
 
 from .autodiff import no_grad
-from .data import assemble_batch, pair_counts
+from .data import assemble_batch
 
 
 def rank_of_positive(scores):
@@ -106,7 +106,10 @@ def evaluate(model, index, src, dst, t, sl, negs, batch_size=100, config=None):
 
 def edgebank_scores(index, src_q, t_q, cand):
     """Memorization baseline: 1 when the pair was ever seen before, else 0."""
-    return (pair_counts(index, src_q, t_q, cand) > 0).astype(np.float64)
+    B, C = cand.shape
+    seen = index.seen_before_batch(np.repeat(src_q, C), cand.ravel(),
+                                   np.repeat(t_q, C))
+    return seen.reshape(B, C).astype(np.float64)
 
 
 def evaluate_edgebank(index, src, dst, t, sl, negs, batch_size=100, config=None):
@@ -114,11 +117,13 @@ def evaluate_edgebank(index, src, dst, t, sl, negs, batch_size=100, config=None)
 
     At q = 100 a 100-row chunk is about 10k lookups, so each of the
     index's int64 temporaries is about 80 KB, under glibc's smallest
-    mmap threshold (128 KB), and a chunk's ~1 MB of temporaries reuses
-    the heap the previous chunk freed. A 2000-row chunk grows the heap
-    by ~7 MB per call; whether glibc trims that between calls, so that
-    every page faults again, depends on heap state, and the same code
-    then runs at one of two speeds from one process to the next.
+    mmap threshold (128 KB). A chunk makes one search, over the pair
+    ids; its needles, their sort order and its results are about eight
+    such temporaries, 0.6 MB at the peak, which reuse the heap the
+    previous chunk freed. A 2000-row chunk peaks at about 12 MB per
+    call; whether glibc trims that between calls, so that every page
+    faults again, depends on heap state, and the same code then runs at
+    one of two speeds from one process to the next.
     """
     def score_chunk(chunk, cand):
         return edgebank_scores(index, src[chunk], t[chunk], cand), 0

@@ -8,12 +8,18 @@ one more than the number R of distinct times:
 
   * source-role events, grouped by node: feeds recent-history windows
   * merged-role activity, grouped by node: feeds last-activity lookups
-  * events grouped by distinct (src, dst) pair: feeds repeat counts
+  * events grouped by distinct (src, dst) pair: feeds repeat counts and
+    "seen before t"
 
 A key holds its event's group and time, so a layout needs no other
 array: group g's events are the keys in [g * W, (g + 1) * W), and an
 event's time is `times[key % W]`. Only what a key cannot encode is kept
-beside it: the peer of each source-role event, and the pair ids.
+beside it: the peer of each source-role event, the pair ids, and each
+pair's offset: pair p's keys are `pair_key[pair_start[p]:pair_start[p + 1]]`.
+So once a query has found its pair, the group's start needs no search:
+a repeat count is one search for the cut, less that offset, and whether
+the pair occurred before t at all is one comparison, of the pair's
+first key `pair_key[pair_start[p]]` with the query's key.
 
 All queries are strict: only events with time < t are visible at t, so a
 query at an edge's own timestamp never sees that edge. A query time maps
@@ -119,6 +125,8 @@ class NeighborIndex:
     # pair with group = the pair's position in pair_ids
     pair_ids: np.ndarray = field(repr=False)
     pair_key: np.ndarray = field(repr=False)
+    # pair p's keys start at pair_start[p]; pair_start[-1] is the event count
+    pair_start: np.ndarray = field(repr=False)
 
     @property
     def width(self):
@@ -186,19 +194,35 @@ class NeighborIndex:
         out_t[has] = self.times[last[has] % self.width]
         return out_t, has.astype(np.int64)
 
-    def repeat_count_batch(self, srcs, dsts, times):
-        """Number of prior (src, dst) edges strictly before each time."""
+    def _pairs(self, srcs, dsts, times):
+        """(pid, found, ranks): the pair of each query that has one, by position
+        in pair_ids, the mask of those queries, and their time ranks."""
         pair = self._ids(srcs) * self.num_nodes + self._ids(dsts)
         ranks = self._ranks(times)
         # pid is the first pair id >= the query's: its pair only on a match
         pid = sorted_search(self.pair_ids, pair)
-        seen = pid < self.pair_ids.size
-        seen[seen] = self.pair_ids[pid[seen]] == pair[seen]
-        base = pid[seen] * self.width
-        out = np.zeros(pair.shape[0], dtype=np.int64)
-        out[seen] = (sorted_search(self.pair_key, base + ranks[seen])
-                     - sorted_search(self.pair_key, base))
+        found = pid < self.pair_ids.size
+        found[found] = self.pair_ids[pid[found]] == pair[found]
+        return pid[found], found, ranks[found]
+
+    def repeat_count_batch(self, srcs, dsts, times):
+        """Number of prior (src, dst) edges strictly before each time."""
+        pid, found, ranks = self._pairs(srcs, dsts, times)
+        out = np.zeros(found.size, dtype=np.int64)
+        out[found] = (sorted_search(self.pair_key, pid * self.width + ranks)
+                      - self.pair_start[pid])
         return out
+
+    def seen_before_batch(self, srcs, dsts, times):
+        """Whether each (src, dst) pair has an edge strictly before its time.
+
+        Equals `repeat_count_batch(...) > 0`, without the search for the
+        cut: a pair was seen iff its first event's key is below the query's.
+        """
+        pid, seen, ranks = self._pairs(srcs, dsts, times)
+        seen[seen] = (self.pair_key[self.pair_start[pid]]
+                      < pid * self.width + ranks)
+        return seen
 
 
 def build_index(src, dst, t, num_nodes) -> NeighborIndex:
@@ -223,10 +247,13 @@ def build_index(src, dst, t, num_nodes) -> NeighborIndex:
     act_key = np.sort(np.concatenate([src, dst]) * width + np.tile(rank, 2))
     # pairs: a repeat count only needs how many keys of the pair fall below
     # the query's, so the keys are sorted on their own
-    pair_ids, pair_of = np.unique(src * num_nodes + dst, return_inverse=True)
+    pair_ids, pair_of, n_events = np.unique(
+        src * num_nodes + dst, return_inverse=True, return_counts=True)
+    pair_start = np.concatenate(([0], np.cumsum(n_events)))
 
     return NeighborIndex(
         num_nodes=num_nodes, times=times,
         ev_key=(src * width + rank)[order], ev_peer=dst[order], act_key=act_key,
         pair_ids=pair_ids, pair_key=np.sort(pair_of * width + rank),
+        pair_start=pair_start,
     )

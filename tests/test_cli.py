@@ -92,7 +92,7 @@ def test_ingest_bipartite_disjoint_ids(tmp_path):
     src, dst, t, meta = load_bundle(out)
     assert meta.bipartite
     assert set(src.tolist()).isdisjoint(set(dst.tolist()))
-    assert set(meta.dst_nodes.tolist()) == set(dst.tolist())
+    np.testing.assert_array_equal(meta.dst_nodes, np.unique(dst))
 
 
 def test_ingest_rejects_non_finite_time(tmp_path, capsys):
@@ -346,10 +346,21 @@ def _set(arrays, name, i, value):
      lambda a, m: "dst_nodes ids must be a 1-d array of integers, got 1-d float64"),
     (True, lambda a, m: a.update(dst_nodes=a["dst_nodes"][:, None]),
      lambda a, m: "dst_nodes ids must be a 1-d array of integers, got 2-d int64"),
+    (True, lambda a, m: a.update(dst_nodes=np.union1d(a["dst_nodes"], a["src"][:1])),
+     lambda a, m: f"src id {a['src'][0]} at edge 0 is in dst_nodes"),
+    (True, lambda a, m: a.update(dst_nodes=np.insert(a["dst_nodes"], 2, a["dst_nodes"][1])),
+     lambda a, m: f"dst_nodes must be sorted and unique: id {a['dst_nodes'][2]} "
+                  f"at position 2 follows {a['dst_nodes'][1]}"),
+    (True, lambda a, m: a.update(dst_nodes=np.roll(a["dst_nodes"], -1)),
+     lambda a, m: f"dst_nodes must be sorted and unique: id {a['dst_nodes'][-1]} "
+                  f"at position {a['dst_nodes'].size - 1} follows {a['dst_nodes'][-2]}"),
+    (True, lambda a, m: a.update(dst_nodes=np.setdiff1d(a["dst_nodes"], a["dst"][:1])),
+     lambda a, m: f"dst id {a['dst'][0]} at edge 0 is not in dst_nodes"),
 ], ids=["src-id", "dst-id", "dst_nodes-id", "num_nodes-string", "num_nodes-zero",
         "num_nodes-bool", "bipartite-int", "bipartite-without-dst_nodes",
         "t-short", "t-reversed", "t-nan", "t-bool", "src-float",
-        "dst_nodes-float", "dst_nodes-2d"])
+        "dst_nodes-float", "dst_nodes-2d", "dst_nodes-with-a-src",
+        "dst_nodes-duplicate", "dst_nodes-out-of-order", "dst_nodes-without-a-dst"])
 def test_bundle_meta_must_agree_with_its_arrays(tmp_path, capsys, bipartite,
                                                 edit, why):
     good = tmp_path / "good.bin"

@@ -152,6 +152,23 @@ def test_bad_queries_rejected(graph):
         index.repeat_count_batch(np.array([0]), np.array([1]), np.array([np.nan]))
 
 
+@pytest.mark.parametrize("srcs,dsts,times", [
+    ([0, 60], [1, 2], [1.0, 1.0]),
+    ([0, 1], [-1, 2], [1.0, 1.0]),
+    ([0, 1], [1, 2], [1.0, np.nan]),
+    # a bad id and a NaN time: both lookups name the id
+    ([0, 1], [1, 60], [np.nan, 1.0]),
+], ids=["src-id", "dst-id", "nan-time", "id-and-nan"])
+def test_seen_before_rejects_what_repeat_count_rejects(graph, srcs, dsts, times):
+    _, _, _, index, _ = graph
+    args = np.array(srcs), np.array(dsts), np.array(times)
+    with pytest.raises(ValueError) as want:
+        index.repeat_count_batch(*args)
+    with pytest.raises(ValueError) as got:
+        index.seen_before_batch(*args)
+    assert str(got.value) == str(want.value)
+
+
 def test_empty_edge_array_answers_every_query_with_nothing():
     empty = np.array([], dtype=np.int64)
     index = build_index(empty, empty, np.array([]), 3)
@@ -162,6 +179,7 @@ def test_empty_edge_array_answers_every_query_with_nothing():
     last_t, has = index.last_activity_batch(qn, qt)
     assert has.tolist() == [0, 0, 0] and last_t.tolist() == [0.0, 0.0, 0.0]
     assert index.repeat_count_batch(qn, qn[::-1], qt).tolist() == [0, 0, 0]
+    assert index.seen_before_batch(qn, qn[::-1], qt).tolist() == [False] * 3
 
 
 @pytest.mark.parametrize("src,dst", [
@@ -264,9 +282,10 @@ def test_index_queries_match_linear_scan(data):
 @settings(max_examples=100, deadline=None)
 @given(st.data())
 def test_index_queries_in_runs_match_linear_scan(data):
-    # queries laid out as assemble_batch and pair_counts make them: each of
-    # B rows asks about C candidates at the row's one time, and consecutive
-    # rows may share a time, so runs of equal times span rows
+    # queries laid out as assemble_batch, pair_counts and edgebank_scores
+    # make them: each of B rows asks about C candidates at the row's one
+    # time, and consecutive rows may share a time, so runs of equal times
+    # span rows
     n_nodes, src, dst, t = draw_tie_heavy_graph(data)
     index = build_index(src, dst, t, n_nodes)
     oracle = LinearScanOracle(src, dst, t)
@@ -282,13 +301,21 @@ def test_index_queries_in_runs_match_linear_scan(data):
 
     last_t, has = index.last_activity_batch(cand.ravel(), np.repeat(t_q, C))
     counts = pair_counts(index, src_q, t_q, cand)
+    seen = index.seen_before_batch(np.repeat(src_q, C), cand.ravel(),
+                                   np.repeat(t_q, C))
     assert counts.shape == (B, C) and last_t.shape == has.shape == (B * C,)
+    assert seen.dtype == bool and seen.tolist() == (counts.ravel() > 0).tolist()
     for b in range(B):
         for c in range(C):
             want = oracle.last_activity(cand[b, c], t_q[b])
             got = (int(has[b * C + c]), float(last_t[b * C + c]))
             assert got == ((0, 0.0) if want is None else (1, want))
             assert counts[b, c] == oracle.repeat_count(src_q[b], cand[b, c], t_q[b])
+    # each pair's offsets span its events
+    assert np.diff(index.pair_start).tolist() == [
+        oracle.repeat_count(*divmod(p, n_nodes), np.inf)
+        for p in index.pair_ids.tolist()]
+    assert index.pair_start[-1] == src.size
 
 
 @settings(max_examples=300, deadline=None)
