@@ -4,13 +4,19 @@
     python3 scripts/artifact_digests.py CHECKOUT
 
 Runs `tempolink` from CHECKOUT/src through its CLI, in a temporary
-directory, on two workloads and in both precisions:
+directory, on three workloads and in both precisions:
 
   * c10: criterion 10's run. 800 events over 60 nodes with integer times
     (so many ties), dim 16, k 4, 3 epochs, seed 7, q 20.
   * repeat2: a 2-layer `use_repeat` run. 5000 events over 300 nodes, 70%
     of them to one of five favourites of their source, times uniform on
     [0, 1e4); dim 32, k 10, batch 200, lr 3e-3, 5 epochs, seed 3, q 20.
+  * sparse: 3000 uniform events over 2000 nodes; dim 16, k 4, batch 100,
+    lr 1e-3, 2 epochs, seed 13, q 20. A batch touches few of the 1897
+    embedding rows, so Adam updates only the rows that have had a
+    gradient for the first 11 steps (131 to 937 of them) and the whole
+    table from step 12. On c10 and repeat2 the first batch already
+    touches half of the table.
 
 Each workload runs every command that writes an artifact: it ingests,
 writes the split manifest, trains and ranks the test split with the
@@ -23,16 +29,16 @@ script prints the sha256 of the bundle, every `model.bin` and every
 negative cache, and of the `metrics.jsonl` rows, the split manifest, the
 ablation results and every report as canonical JSON with `wall_ms`
 removed, the one field that measures the host. Two checkouts that give
-the same output give the same results on both workloads, so comparing a
+the same output give the same results on every workload, so comparing a
 change with its parent is one run per checkout and a `diff`. The events
 come from numpy's seeded generator in this process, so both checkouts
 see the same input.
 
-Both workloads write integer ids separated by spaces. A third run,
+The workloads write integer ids separated by spaces. A fourth run,
 `c10_bipartite`, ingests c10's events with `--bipartite`, so that every
 source id is apart from the destination pool; it trains in single
 precision, ranks the test split with the model and with EdgeBank, and
-so covers sampling from a bipartite pool. A fourth input, `ingest_csv`,
+so covers sampling from a bipartite pool. A fifth input, `ingest_csv`,
 is only ingested, plain and with `--bipartite`: a small comma-separated
 file with a header, blank lines, string ids, quoted fields and extra
 columns, the ingest paths the workloads never take.
@@ -67,6 +73,13 @@ def repeat2_events():
     return src, dst, np.sort(rng.uniform(0, 1e4, m))
 
 
+def sparse_events():
+    rng = np.random.default_rng(23)
+    n, m = 2000, 3000
+    src, dst = rng.integers(0, n, m), rng.integers(0, n, m)
+    return src, dst, np.sort(rng.uniform(0, 1e4, m))
+
+
 # the same name as source and destination, leading zeros, a quoted comma,
 # an extra column, blank lines (one of them CRLF) and tied times
 INGEST_CSV = (
@@ -91,6 +104,11 @@ WORKLOADS = {
         "model": {"dim": 32, "heads": 2, "layers": 2, "k": 10,
                   "use_repeat": True},
         "train": {"batch_size": 200, "lr": 3e-3, "max_epochs": 5, "patience": 5},
+        "q_eval": 20,
+    }),
+    "sparse": (sparse_events, 13, {
+        "model": {"dim": 16, "heads": 2, "layers": 1, "k": 4},
+        "train": {"batch_size": 100, "lr": 1e-3, "max_epochs": 2, "patience": 2},
         "q_eval": 20,
     }),
 }

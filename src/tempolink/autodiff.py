@@ -19,6 +19,12 @@ exact erf (scipy), float32 a fused rational erf whose GELU is within
 Inside `no_grad()` no graph is recorded, for forward passes that never
 call backward().
 
+A tensor's first gradient is written in one pass, as `g + 0` broadcast
+into a new C-contiguous array of the tensor's shape, rather than by
+filling zeros and adding `g` to them. The bytes are the same: adding
++0.0 leaves every value but -0.0, which becomes 0.0 either way. Later
+gradients add into that array in place.
+
 Two fused ops keep full-size temporaries down. `dense` adds its bias and
 residual in place into its GEMM's output, and under `no_grad()` applies
 GELU in place too. `Tensor.softmax_rows` scales, masks, shifts,
@@ -175,9 +181,10 @@ class Tensor:
     def _accum(self, g):
         if g.dtype != self.data.dtype:
             raise TypeError(f"{g.dtype} gradient for a {self.data.dtype} tensor")
-        if self.grad is None:
-            self.grad = np.zeros_like(self.data)
-        self.grad += g
+        if self.grad is None:  # one pass; adding 0 turns -0.0 into 0.0
+            self.grad = np.add(g, 0, out=np.empty(self.shape, self.dtype))
+        else:
+            self.grad += g
 
     def backward(self, seed=None):
         if seed is None:

@@ -66,6 +66,7 @@ def train_epoch(model, opt, index, src, dst, t, train_end, pool, seed, epoch,
         opt.step()
         total += val * batch.kept_rows.size
         n_rows += batch.kept_rows.size
+    opt.zero_grad()  # validation runs next; free the last step's gradients
     return (total / max(n_rows, 1)), skipped
 
 
@@ -75,15 +76,19 @@ def train(model, index, src, dst, t, splits, pool, seed, tcfg=TrainConfig(), *,
 
     Every epoch ranks the validation rows against `val_negs`. Writes one
     JSON line per epoch to metrics_path when given. Returns (best_val_mrr,
-    history list).
+    history list). The best epoch's arrays are copied only when a further
+    epoch is about to overwrite them, and restored only when it was not
+    the last epoch run.
     """
     opt = Adam(model.params, lr=tcfg.lr)
     sl_val = splits.slices()["val"]
-    best_mrr, best_epoch = -1.0, -1  # any MRR beats -1: epoch 0 sets best_state
+    best_mrr, best_epoch = -1.0, -1  # any MRR beats -1: epoch 0 is the first best
     history = []
     sink = open(metrics_path, "w") if metrics_path else None
     try:
         for epoch in range(tcfg.max_epochs):
+            if epoch and best_epoch == epoch - 1:
+                best_state = {k: v.data.copy() for k, v in model.params.items()}
             t0 = time.perf_counter()
             mean_loss, skipped = train_epoch(
                 model, opt, index, src, dst, t, splits.train_end, pool,
@@ -105,13 +110,13 @@ def train(model, index, src, dst, t, splits, pool, seed, tcfg=TrainConfig(), *,
                 log(f"epoch {epoch}: loss {mean_loss:.4f} val_mrr {val_mrr:.4f}")
             if val_mrr > best_mrr:
                 best_mrr, best_epoch = val_mrr, epoch
-                best_state = {k: v.data.copy() for k, v in model.params.items()}
             elif epoch - best_epoch >= tcfg.patience:
                 break
     finally:
         if sink:
             sink.close()
-    model.load_state(best_state)
+    if best_epoch != epoch:
+        model.load_state(best_state)
     return best_mrr, history
 
 

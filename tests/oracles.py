@@ -155,6 +155,35 @@ def reference_bpr(scores):
     return float(np.mean(np.log1p(np.exp(-margins))))
 
 
+class DenseAdam:
+    """`optim.Adam` as it was before live rows: every step updates every
+    row of every parameter."""
+
+    def __init__(self, params, lr=1e-4, betas=(0.9, 0.999), eps=1e-8):
+        self.params = params
+        self.lr = lr
+        self.b1, self.b2 = betas
+        self.eps = eps
+        self.t = 0
+        self.m = {k: np.zeros_like(p.data) for k, p in params.items()}
+        self.v = {k: np.zeros_like(p.data) for k, p in params.items()}
+
+    def step(self):
+        self.t += 1
+        c1 = 1.0 - self.b1 ** self.t
+        c2 = 1.0 - self.b2 ** self.t
+        for k, p in self.params.items():
+            g = p.grad
+            if g is None:
+                continue
+            m, v = self.m[k], self.v[k]
+            m *= self.b1
+            m += (1.0 - self.b1) * g
+            v *= self.b2
+            v += (1.0 - self.b2) * (g * g)
+            p.data -= self.lr * (m / c1) / (np.sqrt(v / c2) + self.eps)
+
+
 def _event_rows(path):
     """Yield (line number, (src, dst, t)) from a comma- or space-separated file.
 

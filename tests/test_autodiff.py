@@ -397,6 +397,32 @@ def test_diamond_graph_accumulates_both_paths():
     assert x.grad == pytest.approx(8.0)
 
 
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_first_gradient_is_a_new_c_contiguous_array_of_the_tensors_shape(dtype):
+    x = Tensor(np.zeros((3, 4), dtype))
+    g = np.array([[-0.0, 1.5, -2.0, 0.0]], dtype)
+    before = g.tobytes()
+    x._accum(g)
+    assert x.grad.shape == (3, 4) and x.grad.flags.c_contiguous
+    assert not np.shares_memory(x.grad, g) and g.tobytes() == before
+    want = np.tile(np.array([0.0, 1.5, -2.0, 0.0], dtype), (3, 1))
+    assert x.grad.tobytes() == want.tobytes()  # -0.0 became 0.0
+    first = x.grad
+    x._accum(g)  # later gradients add into the same array
+    assert x.grad is first and x.grad.tobytes() == (want * 2).tobytes()
+
+    y = Tensor(np.zeros((4, 3), dtype))
+    gt = np.arange(12, dtype=dtype).reshape(3, 4).T  # not C-contiguous
+    y._accum(gt)
+    assert y.grad.flags.c_contiguous and not np.shares_memory(y.grad, gt)
+    assert y.grad.tobytes() == np.ascontiguousarray(gt).tobytes()
+
+    s = Tensor(np.zeros((), dtype))
+    s._accum(np.array(-0.0, dtype))
+    assert isinstance(s.grad, np.ndarray) and s.grad.shape == ()
+    assert s.grad.tobytes() == np.zeros((), dtype).tobytes()
+
+
 # -- finite differences ---------------------------------------------------------
 
 

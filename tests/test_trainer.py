@@ -157,3 +157,48 @@ def test_train_config_validation():
     for bad in ("hinge", "bce"):
         with pytest.raises(ValueError, match=f"loss must be 'bpr', got {bad!r}"):
             TrainConfig(loss=bad)
+
+
+def test_train_epoch_leaves_no_gradient_behind(ring):
+    src, dst, t, index, splits, pool, _ = ring
+    model = small_model(9)
+    train_epoch(model, Adam(model.params), index, src, dst, t, splits.train_end,
+                pool, seed=9, epoch=0, tcfg=TrainConfig(batch_size=64))
+    assert all(p.grad is None for p in model.params.values())
+
+
+@pytest.mark.parametrize("mrrs, best", [
+    ([0.3, 0.5, 0.4, 0.2], 1),
+    ([0.1, 0.5, 0.4], 1),
+    ([0.1, 0.2, 0.3], 2),
+    ([0.4], 0),
+], ids=["patience-stops-after-worse", "max-epochs-after-worse", "last-is-best",
+        "one-epoch"])
+def test_train_ends_with_the_best_epochs_arrays(ring, monkeypatch, mrrs, best):
+    """Each epoch's arrays are taken where validation reads them; train
+    must end on the best epoch's bytes, and restore them only when a
+    later epoch has overwritten them."""
+    import types
+
+    import tempolink.trainer as trainer_mod
+
+    src, dst, t, index, splits, pool, negs = ring
+    model = small_model(10)
+    seen, loads = [], []
+
+    def scripted_evaluate(m, *args):
+        seen.append({k: p.data.tobytes() for k, p in m.params.items()})
+        return types.SimpleNamespace(mrr=mrrs[len(seen) - 1])
+
+    monkeypatch.setattr(trainer_mod, "evaluate", scripted_evaluate)
+    load_state = model.load_state
+    monkeypatch.setattr(model, "load_state",
+                        lambda arrays: (loads.append(1), load_state(arrays)))
+    tcfg = TrainConfig(batch_size=64, lr=5e-3, max_epochs=len(mrrs), patience=2)
+    got, history = train(model, index, src, dst, t, splits, pool, 10,
+                         tcfg=tcfg, val_negs=negs)
+    assert got == mrrs[best] and len(history) == len(seen) == len(mrrs)
+    assert {k: p.data.tobytes() for k, p in model.params.items()} == seen[best]
+    assert len(loads) == (best != len(mrrs) - 1)
+    if best != len(mrrs) - 1:
+        assert seen[best] != seen[-1]
