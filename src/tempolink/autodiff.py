@@ -27,9 +27,11 @@ gradients add into that array in place.
 
 Two fused ops keep full-size temporaries down. `dense` adds its bias and
 residual in place into its GEMM's output, and under `no_grad()` applies
-GELU in place too. `Tensor.softmax_rows` scales, masks, shifts,
-exponentiates and normalises one new array in place. Neither writes into
-an input. Values and gradients are bitwise those of the composed ops.
+GELU in place too; GELU is no op of its own, since only `dense` applies
+it. `Tensor.softmax_rows` scales, masks, shifts, exponentiates and
+normalises one new array in place. Neither writes into an input. Values
+and gradients are bitwise those of the composed ops, which the tests
+keep as references.
 """
 
 import contextlib
@@ -58,7 +60,7 @@ def no_grad():
 
 
 def _op_name(backward):
-    """The op a backward closure belongs to, such as "Tensor.gelu"."""
+    """The op a backward closure belongs to, such as "Tensor.softplus"."""
     if backward is None:
         return "an op"
     return backward.__qualname__.split(".<locals>")[0]
@@ -275,14 +277,6 @@ class Tensor:
 
     # -- nonlinearities -----------------------------------------------------
 
-    def gelu(self):
-        x = self.data
-
-        def bw(g):  # recomputes Phi rather than keeping it alive
-            self._accum(_gelu(x, g))
-
-        return Tensor(_gelu(x), _parents=(self,), _backward=bw)
-
     def softplus(self):
         x = self.data
 
@@ -394,44 +388,3 @@ def dropout(x, p, rng, training):
         x._accum(g * keep)
 
     return Tensor(x.data * keep, _parents=(x,), _backward=bw)
-
-
-def grad_check(fn, params, eps=1e-5, max_entries=200, seed=0):
-    """Compare fn's analytic gradients to central differences.
-
-    fn() -> scalar Tensor loss computed from `params` (name -> float64
-    Tensor). Checks up to max_entries randomly chosen entries per param
-    and returns {name: max error}. The error is relative except when both
-    gradients are tiny, where it switches to absolute: a structurally
-    zero gradient (a bias that cancels in a pairwise margin, say) would
-    otherwise amplify difference-quotient noise into a false failure.
-    """
-    for name, p in params.items():
-        if p.data.dtype != np.float64:
-            raise ValueError(f"grad_check needs float64 params, {name} is {p.dtype}")
-        p.grad = None
-    loss = fn()
-    loss.backward()
-    analytic = {k: (p.grad.copy() if p.grad is not None else np.zeros_like(p.data))
-                for k, p in params.items()}
-    rng = np.random.default_rng(seed)
-    errs = {}
-    for name, p in params.items():
-        flat = p.data.reshape(-1)
-        n = flat.size
-        picks = np.arange(n) if n <= max_entries else rng.choice(n, max_entries, False)
-        worst = 0.0
-        for i in picks:
-            old = flat[i]
-            flat[i] = old + eps
-            up = float(fn().data)
-            flat[i] = old - eps
-            dn = float(fn().data)
-            flat[i] = old
-            num = (up - dn) / (2 * eps)
-            ana = analytic[name].reshape(-1)[i]
-            denom = max(abs(ana), abs(num))
-            err = abs(ana - num) if denom < 1e-6 else abs(ana - num) / denom
-            worst = max(worst, err)
-        errs[name] = worst
-    return errs

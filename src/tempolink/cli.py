@@ -96,7 +96,7 @@ def _negatives(run, out_dir, q, seed, *splits):
                "start": int(sl.start), "stop": int(sl.stop),
                "pool_sha256": pool_sha256}
         if path.exists():
-            found.append(load_negatives(path, **key))
+            found.append(load_negatives(path, run.pool, **key))
             continue
         found.append(eval_negatives(run.src, run.dst, run.t, sl, run.pool, q,
                                     seed, run.meta.bipartite))
@@ -164,8 +164,6 @@ def cmd_evaluate(args):
 
     model = None
     if not args.edgebank:
-        if not args.model:
-            raise ValueError("--model is required unless --edgebank is set")
         model = load_checkpoint(args.model)
         if model.cfg.num_nodes != run.meta.num_nodes:
             raise ValueError(
@@ -240,14 +238,15 @@ def build_parser():
 
     sp = sub.add_parser("evaluate", help="rank a split with a checkpoint")
     sp.add_argument("--bundle", required=True)
-    sp.add_argument("--model")
+    scorer = sp.add_mutually_exclusive_group(required=True)
+    scorer.add_argument("--model")
+    scorer.add_argument("--edgebank", action="store_true",
+                        help="score with the memorization baseline instead")
     sp.add_argument("--config")
     sp.add_argument("--split", choices=["val", "test"], default="test")
     sp.add_argument("--seed", type=int, required=True)
     sp.add_argument("--q", type=int,
                     help="negatives per query (default: the config's q_eval)")
-    sp.add_argument("--edgebank", action="store_true",
-                    help="score with the memorization baseline instead")
     sp.add_argument("--out", required=True)
     sp.set_defaults(fn=cmd_evaluate)
 

@@ -160,13 +160,15 @@ def save_negatives(path, negs, **key):
     save_arrays(path, {"negatives": negs}, meta=key)
 
 
-def load_negatives(path, **key):
-    """Read cached negatives, checking every given field against the cache's.
+def load_negatives(path, pool, **key):
+    """Read cached negatives, checking them against `key` and `pool`.
 
-    A stale cache, built from another seed, q, bundle, split or pool,
-    raises ValueError naming the file and the first field that differs.
-    When the cache records its rows' `start` and `stop`, it must hold
-    that many rows.
+    `key` holds the fields the cache was saved with, `q`, `start` and
+    `stop` among them. A stale cache, built from another seed, q, bundle,
+    split or pool, raises ValueError naming the file and the first field
+    that differs. So does a cache whose one array, `negatives`, is not
+    [stop - start, q] integers or holds an id outside `pool`, naming the
+    first bad position.
     """
     arrays, meta = load_arrays(path)
     for field, value in key.items():
@@ -175,13 +177,25 @@ def load_negatives(path, **key):
                 f"{path}: negative cache has {field}={meta.get(field)!r}, "
                 f"wanted {field}={value!r}"
             )
+    if list(arrays) != ["negatives"]:
+        raise ValueError(f"{path}: negative cache holds arrays {sorted(arrays)}, "
+                         f"wanted ['negatives']")
     negs = arrays["negatives"]
-    if "start" in meta and "stop" in meta and \
-            negs.shape[0] != meta["stop"] - meta["start"]:
-        raise ValueError(
-            f"{path}: negative cache holds {negs.shape[0]} rows, its split "
-            f"[{meta['start']}, {meta['stop']}) has {meta['stop'] - meta['start']}"
-        )
+    if negs.ndim != 2 or negs.dtype.kind not in "iu":
+        raise ValueError(f"{path}: negatives must be a 2-d array of integers, "
+                         f"got {negs.ndim}-d {negs.dtype}")
+    start, stop, q = key["start"], key["stop"], key["q"]
+    if negs.shape[0] != stop - start:
+        raise ValueError(f"{path}: negative cache holds {negs.shape[0]} rows, "
+                         f"its split [{start}, {stop}) has {stop - start}")
+    if negs.shape[1] != q:
+        raise ValueError(f"{path}: negative cache holds {negs.shape[1]} "
+                         f"negatives per row, wanted q={q}")
+    bad = np.argwhere(~np.isin(negs, pool))
+    if bad.size:
+        row, col = bad[0]
+        raise ValueError(f"{path}: negative {negs[row, col]} at row {row}, "
+                         f"column {col} is not in the candidate pool")
     return negs
 
 

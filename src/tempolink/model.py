@@ -212,18 +212,6 @@ class Model:
         h = self.encode(batch, training, rng)
         return self._head(h, batch, training, rng)
 
-    def attention_weights(self, batch: QueryBatch, layer=0):
-        """Eval-mode attention matrix [B, heads, C, k] of one layer.
-
-        Recomputes the forward pass up to the requested layer's softmax;
-        meant for inspection and invariant checks, not training.
-        """
-        s, mask = self._neighbor_memory(batch, False, None)
-        h = gather_rows(self.params["emb"], batch.cand)
-        for lyr in range(layer):
-            h = self._attend(h, s, mask, lyr, False, None)
-        return self._attention(h, s, mask, layer).data
-
     # -- persistence ----------------------------------------------------------
 
     def state_arrays(self):

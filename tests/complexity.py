@@ -2,17 +2,18 @@
 
 Two claims get measured: history extraction is logarithmic in node degree
 (binary search over the index's sorted keys), and scoring cost grows
-linearly with the number of candidates.
+linearly with the number of candidates. Both time the package's own
+`build_index`, `recent_neighbors_batch` and `Model.score`.
 """
 
 import time
 
 import numpy as np
 
-from .autodiff import no_grad
-from .data import assemble_batch
-from .model import Model, ModelConfig
-from .store import build_index
+from tempolink.autodiff import no_grad
+from tempolink.data import assemble_batch
+from tempolink.model import Model, ModelConfig
+from tempolink.store import build_index
 
 
 def min_ns(fn, repeats=9, warmup=2):
@@ -76,8 +77,6 @@ def bench_scoring(q_grid=(128, 256, 512, 1024, 2048), k=8, dim=16, B=8,
     scale close to linearly in q. The forward runs under `no_grad()`, as
     every ranking path does. Returns {q: fastest ns per forward}.
     """
-    if min(q_grid) < 1:
-        raise ValueError("candidate counts must be >= 1")
     rng = np.random.default_rng(seed)
     n_nodes = 200
     src = rng.integers(0, n_nodes, 20000).astype(np.int64)
@@ -97,17 +96,3 @@ def bench_scoring(q_grid=(128, 256, 512, 1024, 2048), k=8, dim=16, B=8,
             per_forward[q] = min_ns(lambda: model.score(batch),
                                     repeats=repeats)
     return per_forward
-
-
-def extraction_ratio(per_query):
-    """Time ratio between the largest and smallest degree measured.
-
-    Fastest times, not means: one scheduler stall in a sub-millisecond
-    timing would otherwise move the ratio several-fold.
-    """
-    return per_query[max(per_query)] / per_query[min(per_query)]
-
-
-def scoring_slope(per_forward):
-    """Log-log slope of the fastest scoring time against the candidate count."""
-    return loglog_slope(list(per_forward), list(per_forward.values()))

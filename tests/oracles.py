@@ -1,4 +1,5 @@
-"""Brute-force reference implementations shared across test modules.
+"""Brute-force reference implementations shared across test modules,
+with the gradient checker and the input builders they are used with.
 
 Everything here trades speed for obviousness: linear scans, explicit
 loops, no shared state with the code under test.
@@ -8,11 +9,13 @@ import csv
 import itertools
 
 import numpy as np
+from scipy import special
 
 from tempolink.array_io import save_arrays
-from tempolink.data import rng_for, sample_negatives
+from tempolink.autodiff import Tensor, _gelu
+from tempolink.data import assemble_batch, rng_for, sample_negatives
 from tempolink.dataset import BUNDLE_KIND
-from tempolink.store import validate_edges
+from tempolink.store import build_index, validate_edges
 
 
 class LinearScanOracle:
@@ -77,6 +80,66 @@ def eval_negatives_by_dict(src, dst, t, sl, pool, q, seed, bipartite=False):
     return out
 
 
+def t64(rng, *shape):
+    return Tensor(rng.standard_normal(shape))
+
+
+def gelu64(x):
+    """GELU's exact formula, in float64."""
+    x = np.asarray(x, dtype=np.float64)
+    return x * (0.5 * (1.0 + special.erf(x / np.sqrt(2.0))))
+
+
+def gelu_op(x):
+    """GELU as a Tensor op of its own: the unfused reference for
+    `dense(..., gelu=True)`, on the same `_gelu` kernel."""
+    def bw(g):  # recomputes Phi rather than keeping it alive
+        x._accum(_gelu(x.data, g))
+
+    return Tensor(_gelu(x.data), _parents=(x,), _backward=bw)
+
+
+def grad_check(fn, params, eps=1e-5, max_entries=200, seed=0):
+    """Compare fn's analytic gradients to central differences.
+
+    fn() -> scalar Tensor loss computed from `params` (name -> float64
+    Tensor). Checks up to max_entries randomly chosen entries per param
+    and returns {name: max error}. The error is relative except when both
+    gradients are tiny, where it switches to absolute: a structurally
+    zero gradient (a bias that cancels in a pairwise margin, say) would
+    otherwise amplify difference-quotient noise into a false failure.
+    """
+    for name, p in params.items():
+        if p.data.dtype != np.float64:
+            raise ValueError(f"grad_check needs float64 params, {name} is {p.dtype}")
+        p.grad = None
+    loss = fn()
+    loss.backward()
+    analytic = {k: (p.grad.copy() if p.grad is not None else np.zeros_like(p.data))
+                for k, p in params.items()}
+    rng = np.random.default_rng(seed)
+    errs = {}
+    for name, p in params.items():
+        flat = p.data.reshape(-1)
+        n = flat.size
+        picks = np.arange(n) if n <= max_entries else rng.choice(n, max_entries, False)
+        worst = 0.0
+        for i in picks:
+            old = flat[i]
+            flat[i] = old + eps
+            up = float(fn().data)
+            flat[i] = old - eps
+            dn = float(fn().data)
+            flat[i] = old
+            num = (up - dn) / (2 * eps)
+            ana = analytic[name].reshape(-1)[i]
+            denom = max(abs(ana), abs(num))
+            err = abs(ana - num) if denom < 1e-6 else abs(ana - num) / denom
+            worst = max(worst, err)
+        errs[name] = worst
+    return errs
+
+
 def random_graph(rng, n_nodes=60, n_edges=5000, t_scale=1000.0, dup_ts=True):
     src = rng.integers(0, n_nodes, n_edges)
     dst = rng.integers(0, n_nodes, n_edges)
@@ -87,6 +150,19 @@ def random_graph(rng, n_nodes=60, n_edges=5000, t_scale=1000.0, dup_ts=True):
     return src.astype(np.int64), dst.astype(np.int64), t
 
 
+def make_batch(seed=0, n_nodes=30, B=12, C=4, k=6, n_edges=600):
+    """A query batch of B random rows over a `random_graph`, C candidates each."""
+    rng = np.random.default_rng(seed)
+    src, dst, t = random_graph(rng, n_nodes=n_nodes, n_edges=n_edges, t_scale=80.0)
+    index = build_index(src, dst, t, n_nodes)
+    q_src = rng.integers(0, n_nodes, B)
+    q_t = rng.uniform(40, 90, B)
+    cand = rng.integers(0, n_nodes, (B, C))
+    batch = assemble_batch(index, q_src, q_t, cand, k)
+    assert batch is not None
+    return batch
+
+
 def reference_scores(params, cfg, batch):
     """Loop-based recomputation of the candidate scorer, dropout off.
 
@@ -94,11 +170,6 @@ def reference_scores(params, cfg, batch):
     head at a time; softmax runs over the real slots only instead of
     masking, so it shares no mechanism with the vectorized path.
     """
-    from scipy.special import erf
-
-    def gelu(x):
-        return x * 0.5 * (1.0 + erf(x / np.sqrt(2.0)))
-
     d, nh, dh = cfg.dim, cfg.heads, cfg.dim // cfg.heads
     B, C = batch.cand.shape
     k = batch.nbr_peer.shape[1]
@@ -127,7 +198,7 @@ def reference_scores(params, cfg, batch):
                     for wi, j in zip(w, real):
                         z[c, cols] += wi * v_all[j, cols]
             h = z @ params[pre + "wo"] + h
-            h = gelu(h @ params[pre + "ffn.w1"] + params[pre + "ffn.b1"]) @ params[
+            h = gelu64(h @ params[pre + "ffn.w1"] + params[pre + "ffn.b1"]) @ params[
                 pre + "ffn.w2"] + params[pre + "ffn.b2"] + h
         for c in range(C):
             feats = [h[c]]
@@ -145,7 +216,7 @@ def reference_scores(params, cfg, batch):
                     + params["repeat.b"]
                 )
             x = np.concatenate(feats)
-            y = gelu(x @ params["head.w1"] + params["head.b1"]) @ params["head.w2"]
+            y = gelu64(x @ params["head.w1"] + params["head.b1"]) @ params["head.w2"]
             out[b, c] = y[0] + params["head.b2"][0]
     return out
 

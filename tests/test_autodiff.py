@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 from scipy import special
 
-from oracles import scatter_add_loop
+from oracles import gelu64, gelu_op, grad_check, scatter_add_loop, t64
 from tempolink import kernels
 from tempolink.autodiff import (
     GELU_CHUNK,
@@ -16,16 +16,11 @@ from tempolink.autodiff import (
     dense,
     dropout,
     gather_rows,
-    grad_check,
     no_grad,
 )
 from tempolink.optim import Adam
 
 TOL = 1e-6  # per-primitive gradient agreement, float64
-
-
-def t64(rng, *shape):
-    return Tensor(rng.standard_normal(shape))
 
 
 # -- forward values -----------------------------------------------------------
@@ -103,7 +98,7 @@ def test_dense_is_the_composed_ops_bitwise(dtype, shape, bias, residual, gelu):
     for t in adds:
         want = want + t
     if gelu:
-        want = want.gelu()
+        want = gelu_op(want)
     seed = rng.standard_normal(want.shape).astype(dtype)
     want.backward(seed=seed)
     want_grads = [t.grad for t in inputs]
@@ -187,7 +182,7 @@ def test_softmax_rows_values():
 
 def test_gelu_values():
     x = np.array([-50.0, 0.0, 50.0, 1.0])
-    y = Tensor(x).gelu().data
+    y = gelu_op(Tensor(x)).data
     assert y[0] == pytest.approx(0.0, abs=1e-12)
     assert y[1] == 0.0
     assert y[2] == pytest.approx(50.0)
@@ -197,31 +192,24 @@ def test_gelu_values():
 @pytest.mark.parametrize("dtype", [np.float32, np.float64])
 def test_gelu_keeps_dtype(dtype):
     x = Tensor(np.linspace(-3, 3, 13).astype(dtype))
-    y = x.gelu()
+    y = gelu_op(x)
     assert y.dtype == dtype
     y.sum().backward()
     assert x.grad.dtype == dtype
     if dtype == np.float64:  # the float64 result is the plain formula, bitwise
-        want = x.data * (0.5 * (1.0 + special.erf(x.data / np.sqrt(2.0))))
-        assert y.data.tobytes() == want.tobytes()
-
-
-def gelu64(x):
-    """The exact formula, in float64."""
-    x = np.asarray(x, dtype=np.float64)
-    return x * (0.5 * (1.0 + special.erf(x / np.sqrt(2.0))))
+        assert y.data.tobytes() == gelu64(x.data).tobytes()
 
 
 def gelu_and_grad(x):
     t = Tensor(x)
-    y = t.gelu()
+    y = gelu_op(t)
     y.backward(seed=np.ones_like(x))
     return y.data, t.grad
 
 
 def test_gelu_float32_error_bound():
     x = np.linspace(-8, 8, 400_001, dtype=np.float32)
-    got = Tensor(x).gelu().data
+    got = gelu_op(Tensor(x)).data
     want = gelu64(x)
     err = np.abs(got - want) / np.maximum(1.0, np.abs(x.astype(np.float64)))
     assert err.max() <= 3e-7
@@ -272,7 +260,7 @@ def test_gelu_float32_peak_memory_is_its_output():
     with no_grad():
         tracemalloc.start()
         try:
-            out = Tensor(x).gelu().data
+            out = gelu_op(Tensor(x)).data
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
@@ -443,7 +431,7 @@ def test_primitive_gradients_against_central_differences():
             {"a": a, "b": b, "c": c},
         ),
         "dense_4d_matmul": (
-            lambda: (e @ b).gelu().sum(), {"e": e, "b": b},
+            lambda: gelu_op(e @ b).sum(), {"e": e, "b": b},
         ),
         "dense_single_row_matmul": (
             lambda: ((f @ b) * (f @ b)).sum(), {"f": f, "b": b},
@@ -457,15 +445,15 @@ def test_primitive_gradients_against_central_differences():
             lambda: dense(e, b, bias, (e @ b) * 0.5, gelu=True).sum(),
             {"e": e, "b": b, "bias": bias},
         ),
-        "gelu": (lambda: a.gelu().sum(), {"a": a}),
+        "gelu": (lambda: gelu_op(a).sum(), {"a": a}),
         "softplus_mean": (lambda: a.softplus().mean(), {"a": a}),
         "concat_reshape": (
-            lambda: concat([a.reshape(2, 12), d.reshape(1, 5) @ Tensor(
-                np.ones((5, 12)))], axis=0).gelu().sum(),
+            lambda: gelu_op(concat([a.reshape(2, 12), d.reshape(1, 5) @ Tensor(
+                np.ones((5, 12)))], axis=0)).sum(),
             {"a": a, "d": d},
         ),
         "gather": (
-            lambda: gather_rows(b, np.array([0, 5, 5, 2])).gelu().sum(),
+            lambda: gelu_op(gather_rows(b, np.array([0, 5, 5, 2]))).sum(),
             {"b": b},
         ),
     }
@@ -487,7 +475,7 @@ def test_small_mlp_chain_gradient():
 
     def fn():
         x = gather_rows(params["emb"], idx)
-        h = (x @ params["w1"] + params["b1"]).gelu()
+        h = gelu_op(x @ params["w1"] + params["b1"])
         return (h @ params["w2"] * -1.0).softplus().mean()
 
     errs = grad_check(fn, params)

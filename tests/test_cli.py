@@ -3,8 +3,12 @@
 import copy
 import json
 import hashlib
+import os
 import re
 import shutil
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -16,6 +20,8 @@ from tempolink.dataset import ingest, load_bundle
 from tempolink.model import Model, ModelConfig
 from tempolink.store import build_index
 from tempolink.trainer import load_checkpoint, save_checkpoint
+
+SRC = Path(__file__).resolve().parents[1] / "src"
 
 
 def write_events(path, n=400, n_nodes=14, seed=0, delimiter=","):
@@ -55,6 +61,15 @@ def make_bundle(tmp_path):
     bundle = tmp_path / "x.bundle"
     assert main(["ingest", "--input", str(csv_path), "--out", str(bundle)]) == 0
     return bundle
+
+
+def trained_run(tmp_path, tiny_config):
+    """`make_bundle`'s bundle and the directory `train` wrote for it, seed 3."""
+    bundle = make_bundle(tmp_path)
+    run = tmp_path / "run"
+    assert main(["train", "--bundle", str(bundle), "--config",
+                 str(tiny_config), "--seed", "3", "--out", str(run)]) == 0
+    return bundle, run
 
 
 def test_ingest_is_idempotent_and_loadable(tmp_path):
@@ -123,13 +138,7 @@ def test_ingest_bad_time_names_input_line_past_header_and_blanks(tmp_path, capsy
     "x.bundle", "run/model.bin", "run/negatives_val_seed3_q5.bin",
 ], ids=["bundle", "checkpoint", "negative-cache"])
 def test_checksum_mismatch_rejected(tmp_path, tiny_config, capsys, flipped):
-    csv_path = tmp_path / "events.csv"
-    write_events(csv_path)
-    bundle = tmp_path / "x.bundle"
-    main(["ingest", "--input", str(csv_path), "--out", str(bundle)])
-    run = tmp_path / "run"
-    assert main(["train", "--bundle", str(bundle), "--config",
-                 str(tiny_config), "--seed", "3", "--out", str(run)]) == 0
+    bundle, run = trained_run(tmp_path, tiny_config)
     target = tmp_path / flipped
     blob = bytearray(target.read_bytes())
     blob[-1] ^= 0xFF
@@ -146,13 +155,7 @@ def test_checksum_mismatch_rejected(tmp_path, tiny_config, capsys, flipped):
 
 
 def test_other_container_is_not_a_bundle(tmp_path, tiny_config, capsys):
-    csv_path = tmp_path / "events.csv"
-    write_events(csv_path)
-    bundle = tmp_path / "x.bundle"
-    main(["ingest", "--input", str(csv_path), "--out", str(bundle)])
-    run = tmp_path / "run"
-    assert main(["train", "--bundle", str(bundle), "--config",
-                 str(tiny_config), "--seed", "3", "--out", str(run)]) == 0
+    bundle, run = trained_run(tmp_path, tiny_config)
     code = main(["evaluate", "--bundle", str(run / "model.bin"), "--edgebank",
                  "--seed", "3", "--q", "5", "--out", str(tmp_path / "r.json")])
     assert code == 1
@@ -193,14 +196,44 @@ def test_stale_negative_cache_rejected(tmp_path, capsys):
     assert "negatives_test_seed0_q5.bin" in err and "bundle_sha256" in err
 
 
-def test_checkpoint_node_count_must_match_bundle(tmp_path, tiny_config, capsys):
-    csv_path = tmp_path / "events.csv"
-    write_events(csv_path)
+@pytest.mark.parametrize("bipartite,edit,why", [
+    (False, lambda a, src: a.update(negatives=a["negatives"][:, :2]),
+     lambda a: "negative cache holds 2 negatives per row, wanted q=5"),
+    (False, lambda a, src: a.update(negatives=a["negatives"] + 0.5),
+     lambda a: "negatives must be a 2-d array of integers, got 2-d float64"),
+    (False, lambda a, src: a.update(negatives=a["negatives"].ravel()),
+     lambda a: "negatives must be a 2-d array of integers, got 1-d int64"),
+    (False, lambda a, src: a.update(negatives=a["negatives"] + 1000),
+     lambda a: f"negative {a['negatives'][0, 0]} at row 0, column 0 is not "
+               "in the candidate pool"),
+    (True, lambda a, src: _set(a, "negatives", (1, 2), src[0]),
+     lambda a: f"negative {a['negatives'][1, 2]} at row 1, column 2 is not "
+               "in the candidate pool"),
+    (False, lambda a, src: a.update(ids=a.pop("negatives")),
+     lambda a: "negative cache holds arrays ['ids'], wanted ['negatives']"),
+], ids=["fewer-columns", "float-ids", "1d", "ids-out-of-range",
+        "bipartite-source-id", "no-negatives-array"])
+def test_negative_cache_must_hold_what_its_key_says(tmp_path, capsys,
+                                                    bipartite, edit, why):
+    # a cache re-saved with its own meta keeps a valid sha256
+    write_events(tmp_path / "events.csv")
     bundle = tmp_path / "x.bundle"
-    main(["ingest", "--input", str(csv_path), "--out", str(bundle)])
-    run = tmp_path / "run"
-    assert main(["train", "--bundle", str(bundle), "--config",
-                 str(tiny_config), "--seed", "3", "--out", str(run)]) == 0
+    ingest(tmp_path / "events.csv", bundle, bipartite=bipartite)
+    out = tmp_path / "eval" / "report.json"
+    argv = ["evaluate", "--bundle", str(bundle), "--edgebank", "--split",
+            "test", "--seed", "0", "--q", "5", "--out", str(out)]
+    assert main(argv) == 0
+    cache = out.parent / "negatives_test_seed0_q5.bin"
+    arrays, meta = load_arrays(cache)
+    edit(arrays, load_bundle(bundle)[0])
+    save_arrays(cache, arrays, meta=meta)
+    capsys.readouterr()
+    assert main(argv) == 1
+    assert capsys.readouterr().err == f"error: {cache}: {why(arrays)}\n"
+
+
+def test_checkpoint_node_count_must_match_bundle(tmp_path, tiny_config, capsys):
+    bundle, run = trained_run(tmp_path, tiny_config)
     small_csv = tmp_path / "small.csv"
     write_events(small_csv, n_nodes=10)
     small = tmp_path / "small.bundle"
@@ -239,6 +272,24 @@ def test_checkpoint_must_come_from_the_bundle(tmp_path, tiny_config, capsys):
     assert not out.parent.exists()
 
 
+def _edited_checkpoint_is_rejected(tmp_path, tiny_config, capsys, edit, why):
+    """A checkpoint re-saved after `edit(arrays, meta)` makes `evaluate` print
+    `error: <checkpoint>: <why>` and write nothing."""
+    bundle = make_bundle(tmp_path)
+    cfg = ModelConfig(num_nodes=load_bundle(bundle)[3].num_nodes, **TINY["model"])
+    save_checkpoint(tmp_path / "good.bin", Model(cfg, seed=3))
+    arrays, meta = load_arrays(tmp_path / "good.bin")
+    edit(arrays, meta)
+    bad = tmp_path / "bad.bin"
+    save_arrays(bad, arrays, meta=meta)
+    out = tmp_path / "eval" / "report.json"
+    code = main(["evaluate", "--bundle", str(bundle), "--model", str(bad),
+                 "--config", str(tiny_config), "--seed", "3", "--out", str(out)])
+    assert code == 1
+    assert capsys.readouterr().err == f"error: {bad}: {why}\n"
+    assert not out.parent.exists()
+
+
 @pytest.mark.parametrize("edit,why", [
     (lambda m: m.update(config=5), "checkpoint config must be an object, got 5"),
     (lambda m: m["config"].update(id_buckets=8),
@@ -265,19 +316,8 @@ def test_checkpoint_must_come_from_the_bundle(tmp_path, tiny_config, capsys):
         "no-seed", "negative-seed", "float-seed", "positional-interval",
         "float16", "extra-not-object", "extra-digest-not-string"])
 def test_checkpoint_meta_is_checked(tmp_path, tiny_config, capsys, edit, why):
-    bundle = make_bundle(tmp_path)
-    cfg = ModelConfig(num_nodes=load_bundle(bundle)[3].num_nodes, **TINY["model"])
-    save_checkpoint(tmp_path / "good.bin", Model(cfg, seed=3))
-    arrays, meta = load_arrays(tmp_path / "good.bin")
-    edit(meta)
-    bad = tmp_path / "bad.bin"
-    save_arrays(bad, arrays, meta=meta)
-    out = tmp_path / "eval" / "report.json"
-    code = main(["evaluate", "--bundle", str(bundle), "--model", str(bad),
-                 "--config", str(tiny_config), "--seed", "3", "--out", str(out)])
-    assert code == 1
-    assert capsys.readouterr().err == f"error: {bad}: {why}\n"
-    assert not out.parent.exists()
+    _edited_checkpoint_is_rejected(tmp_path, tiny_config, capsys,
+                                   lambda a, m: edit(m), why)
 
 
 @pytest.mark.parametrize("edit,why", [
@@ -289,19 +329,8 @@ def test_checkpoint_meta_is_checked(tmp_path, tiny_config, capsys, edit, why):
 ], ids=["stray", "missing", "shape"])
 def test_checkpoint_arrays_must_match_the_model(tmp_path, tiny_config, capsys,
                                                 edit, why):
-    bundle = make_bundle(tmp_path)
-    cfg = ModelConfig(num_nodes=load_bundle(bundle)[3].num_nodes, **TINY["model"])
-    save_checkpoint(tmp_path / "good.bin", Model(cfg, seed=3))
-    arrays, meta = load_arrays(tmp_path / "good.bin")
-    edit(arrays)
-    bad = tmp_path / "bad.bin"
-    save_arrays(bad, arrays, meta=meta)
-    out = tmp_path / "eval" / "report.json"
-    code = main(["evaluate", "--bundle", str(bundle), "--model", str(bad),
-                 "--config", str(tiny_config), "--seed", "3", "--out", str(out)])
-    assert code == 1
-    assert capsys.readouterr().err == f"error: {bad}: {why}\n"
-    assert not out.parent.exists()
+    _edited_checkpoint_is_rejected(tmp_path, tiny_config, capsys,
+                                   lambda a, m: edit(a), why)
 
 
 def _bad_id(name, ids, n):
@@ -442,10 +471,7 @@ def test_bipartite_bundle_trains_and_ranks(tmp_path, tiny_config):
 
 
 def test_split_manifest(tmp_path):
-    csv_path = tmp_path / "events.csv"
-    write_events(csv_path)
-    bundle = tmp_path / "x.bundle"
-    main(["ingest", "--input", str(csv_path), "--out", str(bundle)])
+    bundle = make_bundle(tmp_path)
     out = tmp_path / "split.json"
     assert main(["split", "--bundle", str(bundle), "--out", str(out)]) == 0
     manifest = json.loads(out.read_text())
@@ -455,14 +481,7 @@ def test_split_manifest(tmp_path):
 
 
 def test_train_evaluate_roundtrip(tmp_path, tiny_config):
-    csv_path = tmp_path / "events.csv"
-    write_events(csv_path)
-    bundle = tmp_path / "x.bundle"
-    main(["ingest", "--input", str(csv_path), "--out", str(bundle)])
-    run = tmp_path / "run"
-    code = main(["train", "--bundle", str(bundle), "--config",
-                 str(tiny_config), "--seed", "3", "--out", str(run)])
-    assert code == 0
+    bundle, run = trained_run(tmp_path, tiny_config)
     assert (run / "model.bin").exists()
     assert (run / "val_report.json").exists()
     lines = (run / "metrics.jsonl").read_text().strip().splitlines()
@@ -483,10 +502,7 @@ def test_train_evaluate_roundtrip(tmp_path, tiny_config):
 
 
 def test_train_is_bitwise_deterministic(tmp_path, tiny_config):
-    csv_path = tmp_path / "events.csv"
-    write_events(csv_path)
-    bundle = tmp_path / "x.bundle"
-    main(["ingest", "--input", str(csv_path), "--out", str(bundle)])
+    bundle = make_bundle(tmp_path)
     digests = []
     metric_rows = []
     for run_name in ("r1", "r2"):
@@ -506,10 +522,7 @@ def test_train_is_bitwise_deterministic(tmp_path, tiny_config):
 
 
 def test_checkpoint_bytes_do_not_depend_on_bundle_path(tmp_path, tiny_config):
-    csv_path = tmp_path / "events.csv"
-    write_events(csv_path)
-    bundle = tmp_path / "x.bundle"
-    main(["ingest", "--input", str(csv_path), "--out", str(bundle)])
+    bundle = make_bundle(tmp_path)
     digests = []
     for where in ("a", "b/c"):
         copy = tmp_path / where / "copy.bundle"
@@ -527,10 +540,7 @@ def test_checkpoint_bytes_do_not_depend_on_bundle_path(tmp_path, tiny_config):
 
 
 def test_edgebank_evaluation(tmp_path):
-    csv_path = tmp_path / "events.csv"
-    write_events(csv_path)
-    bundle = tmp_path / "x.bundle"
-    main(["ingest", "--input", str(csv_path), "--out", str(bundle)])
+    bundle = make_bundle(tmp_path)
     out = tmp_path / "eb.json"
     code = main(["evaluate", "--bundle", str(bundle), "--edgebank",
                  "--split", "test", "--seed", "2", "--q", "5",
@@ -542,10 +552,7 @@ def test_edgebank_evaluation(tmp_path):
 
 
 def test_ablate_command(tmp_path, tiny_config):
-    csv_path = tmp_path / "events.csv"
-    write_events(csv_path)
-    bundle = tmp_path / "x.bundle"
-    main(["ingest", "--input", str(csv_path), "--out", str(bundle)])
+    bundle = make_bundle(tmp_path)
     out = tmp_path / "ablation.json"
     code = main(["ablate", "--bundle", str(bundle), "--config",
                  str(tiny_config), "--seed", "5", "--out", str(out)])
@@ -617,6 +624,31 @@ def test_failed_command_leaves_no_directory(tmp_path, capsys, command):
     assert not run.exists()
 
 
+@pytest.mark.parametrize("scorer", [[], ["--edgebank", "--model", "m.bin"]],
+                         ids=["neither", "both"])
+def test_evaluate_takes_exactly_one_scorer(tmp_path, capsys, scorer):
+    bundle = make_bundle(tmp_path)
+    capsys.readouterr()
+    with pytest.raises(SystemExit) as e:
+        main(["evaluate", *scorer, "--bundle", str(bundle), "--seed", "1",
+              "--q", "5", "--out", str(tmp_path / "run" / "report.json")])
+    assert e.value.code == 2
+    assert "--model" in capsys.readouterr().err
+    assert not (tmp_path / "run").exists()
+
+
+def test_the_cli_imports_every_package_module_and_nothing_more():
+    # code that only tests reach belongs under tests/, not in the package
+    code = ("import json, sys, tempolink.cli; print(json.dumps(sorted("
+            "m for m in sys.modules if m.split('.')[0] == 'tempolink')))")
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                          text=True, env=dict(os.environ, PYTHONPATH=str(SRC)))
+    assert proc.returncode == 0, proc.stderr
+    files = sorted("tempolink" if f.stem == "__init__" else f"tempolink.{f.stem}"
+                   for f in (SRC / "tempolink").glob("*.py"))
+    assert json.loads(proc.stdout) == files
+
+
 def test_seed_is_mandatory_for_train(tmp_path):
     with pytest.raises(SystemExit) as e:
         main(["train", "--bundle", "x", "--out", "y"])
@@ -624,10 +656,7 @@ def test_seed_is_mandatory_for_train(tmp_path):
 
 
 def test_unknown_config_section_rejected(tmp_path, capsys):
-    csv_path = tmp_path / "events.csv"
-    write_events(csv_path)
-    bundle = tmp_path / "x.bundle"
-    main(["ingest", "--input", str(csv_path), "--out", str(bundle)])
+    bundle = make_bundle(tmp_path)
     bad = tmp_path / "bad.json"
     bad.write_text(json.dumps({"model": {}, "optimizer": {}}))
     code = main(["train", "--bundle", str(bundle), "--config", str(bad),
@@ -640,10 +669,7 @@ def test_unknown_config_section_rejected(tmp_path, capsys):
     ("model", "width"), ("train", "epochs"), ("split", "train_fraction"),
 ])
 def test_bad_config_key_rejected(tmp_path, capsys, section, key):
-    csv_path = tmp_path / "events.csv"
-    write_events(csv_path)
-    bundle = tmp_path / "x.bundle"
-    main(["ingest", "--input", str(csv_path), "--out", str(bundle)])
+    bundle = make_bundle(tmp_path)
     bad = tmp_path / "bad.json"
     bad.write_text(json.dumps({section: {key: 32}}))
     code = main(["train", "--bundle", str(bundle), "--config", str(bad),

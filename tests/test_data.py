@@ -170,27 +170,30 @@ def test_eval_negatives_match_the_dict_sampler(span, bipartite, graph_seed,
 
 def test_negative_cache_roundtrip_and_seed_guard(tmp_path):
     negs = np.arange(60, dtype=np.int64).reshape(6, 10)
+    pool = np.arange(60, dtype=np.int64)
     p = tmp_path / "negs.bin"
-    save_negatives(p, negs, seed=4, q=10)
-    np.testing.assert_array_equal(load_negatives(p, seed=4, q=10), negs)
+    save_negatives(p, negs, seed=4, q=10, start=0, stop=6)
+    np.testing.assert_array_equal(
+        load_negatives(p, pool, seed=4, q=10, start=0, stop=6), negs)
     with pytest.raises(ValueError, match="seed"):
-        load_negatives(p, seed=5)
+        load_negatives(p, pool, seed=5, q=10, start=0, stop=6)
     with pytest.raises(ValueError, match="q="):
-        load_negatives(p, q=7)
+        load_negatives(p, pool, q=7, start=0, stop=6)
 
 
 def test_negative_cache_checks_key_fields_and_row_count(tmp_path):
     negs = np.zeros((6, 3), dtype=np.int64)
+    pool = np.arange(4, dtype=np.int64)
     p = tmp_path / "negs.bin"
     save_negatives(p, negs, seed=1, q=3, start=10, stop=16, bundle_sha256="ab")
-    load_negatives(p, seed=1, q=3, start=10, stop=16, bundle_sha256="ab")
+    load_negatives(p, pool, seed=1, q=3, start=10, stop=16, bundle_sha256="ab")
     with pytest.raises(ValueError, match=f"{p}: .* has bundle_sha256='ab'"):
-        load_negatives(p, bundle_sha256="cd")
+        load_negatives(p, pool, q=3, start=10, stop=16, bundle_sha256="cd")
     with pytest.raises(ValueError, match="has stop=16, wanted stop=17"):
-        load_negatives(p, start=10, stop=17)
+        load_negatives(p, pool, q=3, start=10, stop=17)
     save_negatives(p, negs, seed=1, q=3, start=10, stop=15)
     with pytest.raises(ValueError, match="holds 6 rows, its split \\[10, 15\\) has 5"):
-        load_negatives(p, start=10, stop=15)
+        load_negatives(p, pool, q=3, start=10, stop=15)
 
 
 def test_train_negatives_collision_free_and_epoch_fresh():

@@ -3,23 +3,11 @@
 import numpy as np
 import pytest
 
-from oracles import random_graph, reference_bpr, reference_scores
-from tempolink.autodiff import Tensor, grad_check, no_grad
+from oracles import grad_check, make_batch, reference_bpr, reference_scores
+from tempolink.autodiff import Tensor, gather_rows, no_grad
 from tempolink.data import QueryBatch, assemble_batch
 from tempolink.model import Model, ModelConfig, bpr_loss, init_params
 from tempolink.store import build_index
-
-
-def make_batch(seed=0, n_nodes=30, B=12, C=4, k=6, n_edges=600):
-    rng = np.random.default_rng(seed)
-    src, dst, t = random_graph(rng, n_nodes=n_nodes, n_edges=n_edges, t_scale=80.0)
-    index = build_index(src, dst, t, n_nodes)
-    q_src = rng.integers(0, n_nodes, B)
-    q_t = rng.uniform(40, 90, B)
-    cand = rng.integers(0, n_nodes, (B, C))
-    batch = assemble_batch(index, q_src, q_t, cand, k)
-    assert batch is not None
-    return batch
 
 
 def f64_model(cfg, seed=1):
@@ -159,23 +147,13 @@ def test_padded_slots_receive_zero_attention_mass():
     cfg = ModelConfig(num_nodes=30, dim=8, heads=2, layers=1, k=8,
                       p_attn=0.0, p_hidden=0.0, p_emb=0.0)
     model = f64_model(cfg)
-    batch = make_batch(seed=11, k=8)
-    s, mask = model._neighbor_memory(batch, False, np.random.default_rng(0))
-    h = model.params["emb"].data[batch.cand]
-    q = (Tensor(h) @ model.params["l0.wq"]).data
-    kk = (s @ model.params["l0.wk"]).data
-    B, C, d = h.shape
-    dh = cfg.head_width()
-    for b in range(B):
-        pads = np.nonzero(mask[b] == 0)[0]
-        if pads.size == 0:
-            continue
-        logits = q[b].reshape(C, 2, dh)[:, 0, :] @ kk[b].reshape(
-            8, 2, dh)[:, 0, :].T / np.sqrt(dh)
-        logits[:, pads] = -1e30
-        w = np.exp(logits - logits.max(axis=1, keepdims=True))
-        w /= w.sum(axis=1, keepdims=True)
-        assert (w[:, pads] == 0.0).all()  # exact, not approximately
+    batch = make_batch(seed=11, k=8, n_edges=120)  # short histories: padding
+    s, mask = model._neighbor_memory(batch, False, None)
+    h = gather_rows(model.params["emb"], batch.cand)
+    att = model._attention(h, s, mask, 0).data  # every head, as encode runs it
+    pads = np.broadcast_to((mask == 0)[:, None, None, :], att.shape)
+    assert pads.any()
+    assert (att[pads] == 0.0).all()  # exact, not approximately
 
 
 def test_full_pipeline_gradients():
