@@ -10,7 +10,7 @@ from dataclasses import asdict, replace
 
 from .evaluate import evaluate
 from .model import Model, ModelConfig
-from .trainer import TrainConfig, train
+from .trainer import train
 
 
 def ablation_variants(cfg: ModelConfig):

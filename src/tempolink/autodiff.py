@@ -2,9 +2,10 @@
 
 Tensors wrap an ndarray plus a backward closure; calling backward() on a
 scalar loss walks the graph in reverse topological order and accumulates
-a gradient into every tensor on it, parameters and constants alike. Only
-the operations this package needs exist, and each op states its adjoint
-inline.
+a gradient into every tensor on it. Only the operations this package
+needs exist, and each op states its adjoint inline. A plain array or
+number combined with a Tensor by `+` or `*` is a constant: it is no
+parent of the result and gets no gradient.
 
 Every op keeps its input dtype: a result has the dtype of its parents,
 and every gradient has the dtype of the tensor it accumulates into.
@@ -19,19 +20,32 @@ exact erf (scipy), float32 a fused rational erf whose GELU is within
 Inside `no_grad()` no graph is recorded, for forward passes that never
 call backward().
 
-A tensor's first gradient is written in one pass, as `g + 0` broadcast
-into a new C-contiguous array of the tensor's shape, rather than by
-filling zeros and adding `g` to them. The bytes are the same: adding
-+0.0 leaves every value but -0.0, which becomes 0.0 either way. Later
-gradients add into that array in place.
+A tensor's first gradient is kept without a copy where nothing else
+can write it. An op that has just computed a new C-contiguous gradient
+for an input hands it over, and the input adopts it after adding 0 in
+place, which turns -0.0 into 0.0 and leaves every other value alone. An
+op's result that has exactly one consumer in the graph being walked
+adopts the reshape, transpose or split of its consumer's gradient as a
+view, values as they are; no op writes into the gradient it is given,
+and a later walk through that tensor first copies it. Every other first
+gradient is written in one pass, as `g + 0` broadcast into a new
+C-contiguous array of the tensor's shape. So a parameter's gradient is
+always an array of its own, C-contiguous, with the bytes of filling
+zeros and adding each gradient. Later gradients add into the first one
+in place.
 
-Two fused ops keep full-size temporaries down. `dense` adds its bias and
-residual in place into its GEMM's output, and under `no_grad()` applies
-GELU in place too; GELU is no op of its own, since only `dense` applies
-it. `Tensor.softmax_rows` scales, masks, shifts, exponentiates and
-normalises one new array in place. Neither writes into an input. Values
-and gradients are bitwise those of the composed ops, which the tests
-keep as references.
+Three fused ops keep full-size temporaries down, and none writes into an
+input. `dense` adds its bias and residual in place into its GEMM's
+output; GELU is no op of its own, since only `dense` applies it. Under
+`no_grad()` it applies GELU in place too; when recording it keeps the
+forward's Phi(x), so its backward evaluates no erf.
+`Tensor.softmax_rows` scales, masks, shifts, exponentiates and
+normalises one new array in place. `embed_window` gathers embedding
+rows, drops them out, adds positions and masks them in place on one new
+array, and its backward uses one buffer. `dropout` draws its keep mask
+in chunks, so no float64 array of the tensor's shape exists. Values and
+gradients are bitwise those of the composed ops and of one draw, which
+the tests keep as references.
 """
 
 import contextlib
@@ -103,47 +117,56 @@ def _horner(coefs, z2, out):
     out += coefs[-1]
 
 
-def _gelu(x, g=None, out=None):
+def _gelu(x, g=None, out=None, phi=None):
     """GELU x * Phi(x), or with `g` its gradient g * (Phi + x * phi).
 
     float32 takes the fused rational erf (`_gelu32`), float64 the exact
     one. `out`, which may be x itself, is a C-contiguous array of x's
-    shape that receives the result.
+    shape that receives the result. `phi`, a C-contiguous array of x's
+    shape, keeps Phi(x): GELU writes it, and the gradient reads it
+    instead of evaluating erf again, with the same result.
     """
     if x.dtype == np.float32:
-        return _gelu32(x, g, out)
-    cdf = special.erf(x / np.sqrt(2.0))
-    cdf += 1.0
-    cdf *= 0.5
+        return _gelu32(x, g, out, phi)
+    if g is None or phi is None:
+        phi = special.erf(x / np.sqrt(2.0), out=phi)
+        phi += 1.0
+        phi *= 0.5
     if g is None:
-        return np.multiply(x, cdf, out=out)
-    cdf += x * (np.exp(-0.5 * x * x) / np.sqrt(2.0 * np.pi))
-    return np.multiply(g, cdf, out=out)
+        return np.multiply(x, phi, out=out)
+    slope = x * (np.exp(-0.5 * x * x) / np.sqrt(2.0 * np.pi))
+    slope += phi
+    return np.multiply(g, slope, out=out)
 
 
-def _gelu32(x, g=None, out=None):
+def _gelu32(x, g=None, out=None, phi=None):
     """`_gelu` for float32 x.
 
     Runs in GELU_CHUNK pieces with in-place ops, so the only full-size
-    arrays are the input(s) and the result. Every element goes through the
-    same ops whatever its position, so results do not depend on chunking.
+    arrays are the input(s), the kept Phi and the result. Every element
+    goes through the same ops whatever its position, so results do not
+    depend on chunking.
     """
     xf = np.ascontiguousarray(x).reshape(-1)
     gf = None if g is None else np.ascontiguousarray(g).reshape(-1)
     out = np.empty_like(xf) if out is None else out.reshape(-1, copy=False)
+    kept = None if phi is None else phi.reshape(-1, copy=False)
     z, z2, num, den = np.empty((4, min(xf.size, GELU_CHUNK)), dtype=np.float32)
     for lo in range(0, xf.size, GELU_CHUNK):
         hi = min(lo + GELU_CHUNK, xf.size)
         n = hi - lo
         xc, zc, z2c, pc, qc = xf[lo:hi], z[:n], z2[:n], num[:n], den[:n]
-        np.multiply(xc, _SQRT_HALF, out=zc)
-        np.clip(zc, -4.0, 4.0, out=zc)
-        np.multiply(zc, zc, out=z2c)
-        _horner(_HALF_ERF_NUM, z2c, pc)
-        pc *= zc
-        _horner(_ERF_DEN, z2c, qc)
-        pc /= qc  # erf(x / sqrt 2) / 2
-        pc += 0.5  # Phi(x)
+        if kept is not None:
+            pc = kept[lo:hi]
+        if gf is None or kept is None:
+            np.multiply(xc, _SQRT_HALF, out=zc)
+            np.clip(zc, -4.0, 4.0, out=zc)
+            np.multiply(zc, zc, out=z2c)
+            _horner(_HALF_ERF_NUM, z2c, pc)
+            pc *= zc
+            _horner(_ERF_DEN, z2c, qc)
+            pc /= qc  # erf(x / sqrt 2) / 2
+            pc += 0.5  # Phi(x)
         if gf is None:
             np.multiply(xc, pc, out=out[lo:hi])
             continue
@@ -158,7 +181,7 @@ def _gelu32(x, g=None, out=None):
 
 
 class Tensor:
-    __slots__ = ("data", "grad", "_parents", "_backward")
+    __slots__ = ("data", "grad", "_parents", "_backward", "_uses")
 
     def __init__(self, data, _parents=(), _backward=None):
         self.data = np.asarray(data)
@@ -171,6 +194,7 @@ class Tensor:
         self.grad = None
         self._parents = _parents
         self._backward = _backward
+        self._uses = 0  # consumers in the graph backward() last walked
 
     @property
     def shape(self):
@@ -180,13 +204,22 @@ class Tensor:
     def dtype(self):
         return self.data.dtype
 
-    def _accum(self, g):
+    def _accum(self, g, fresh=False):
+        """Add gradient g, of this tensor's shape, into self.grad; `fresh`
+        says the calling op has just computed g and keeps no other
+        reference to it (see the module docstring)."""
         if g.dtype != self.data.dtype:
             raise TypeError(f"{g.dtype} gradient for a {self.data.dtype} tensor")
-        if self.grad is None:  # one pass; adding 0 turns -0.0 into 0.0
-            self.grad = np.add(g, 0, out=np.empty(self.shape, self.dtype))
-        else:
+        if self.grad is not None:
             self.grad += g
+        elif not isinstance(g, np.ndarray):  # a numpy scalar from a 0-d op
+            self.grad = np.add(g, 0, out=np.empty(self.shape, self.dtype))
+        elif fresh and g.flags.c_contiguous:
+            self.grad = np.add(g, 0, out=g)  # adding 0 turns -0.0 into 0.0
+        elif not fresh and self._uses == 1 and self._backward is not None:
+            self.grad = g
+        else:
+            self.grad = np.add(g, 0, out=np.empty(self.shape, self.dtype))
 
     def backward(self, seed=None):
         if seed is None:
@@ -206,6 +239,13 @@ class Tensor:
             seen.add(id(node))
             topo.append(node)
             stack.pop()
+        for node in topo:
+            node._uses = 0
+            if node._backward is not None and node.grad is not None:
+                node.grad = node.grad.copy()  # may be a view into an earlier walk
+        for node in topo:
+            for p in node._parents:
+                p._uses += 1
         self._accum(np.asarray(seed, dtype=self.data.dtype))
         for node in reversed(topo):
             if node._backward is not None and node.grad is not None:
@@ -213,23 +253,32 @@ class Tensor:
 
     # -- arithmetic ---------------------------------------------------------
 
+    def _operand(self, other):
+        """(other's array, the parents of `self op other`); an operand
+        that is no Tensor is a constant of this dtype and no parent."""
+        if isinstance(other, Tensor):
+            return other.data, (self, other)
+        return np.asarray(other, dtype=self.dtype), (self,)
+
     def __add__(self, other):
-        other = _wrap(other, self.dtype)
+        b, parents = self._operand(other)
 
         def bw(g):
             self._accum(_reduce_to(g, self.shape))
-            other._accum(_reduce_to(g, other.shape))
+            if len(parents) > 1:
+                other._accum(_reduce_to(g, other.shape))
 
-        return Tensor(self.data + other.data, _parents=(self, other), _backward=bw)
+        return Tensor(self.data + b, _parents=parents, _backward=bw)
 
     def __mul__(self, other):
-        other = _wrap(other, self.dtype)
+        b, parents = self._operand(other)
 
         def bw(g):
-            self._accum(_reduce_to(g * other.data, self.shape))
-            other._accum(_reduce_to(g * self.data, other.shape))
+            self._accum(_reduce_to(g * b, self.shape), fresh=True)
+            if len(parents) > 1:
+                other._accum(_reduce_to(g * self.data, other.shape), fresh=True)
 
-        return Tensor(self.data * other.data, _parents=(self, other), _backward=bw)
+        return Tensor(self.data * b, _parents=parents, _backward=bw)
 
     def matmul(self, other):
         a, b = self.data, other.data
@@ -238,8 +287,8 @@ class Tensor:
 
         # batched weight: leading dims broadcast, last two are the matrix dims
         def bw(g):
-            self._accum(_reduce_to(g @ b.swapaxes(-1, -2), self.shape))
-            other._accum(_reduce_to(a.swapaxes(-1, -2) @ g, other.shape))
+            self._accum(_reduce_to(g @ b.swapaxes(-1, -2), self.shape), fresh=True)
+            other._accum(_reduce_to(a.swapaxes(-1, -2) @ g, other.shape), fresh=True)
 
         return Tensor(a @ b, _parents=(self, other), _backward=bw)
 
@@ -281,7 +330,7 @@ class Tensor:
         x = self.data
 
         def bw(g):
-            self._accum(g * special.expit(x))
+            self._accum(g * special.expit(x), fresh=True)
 
         return Tensor(np.logaddexp(0.0, x), _parents=(self,), _backward=bw)
 
@@ -303,7 +352,7 @@ class Tensor:
         def bw(g):
             gx = y * (g - (g * y).sum(axis=-1, keepdims=True))
             gx *= scale
-            self._accum(gx)
+            self._accum(gx, fresh=True)
 
         return Tensor(y, _parents=(self,), _backward=bw)
 
@@ -322,25 +371,27 @@ def dense(x, w, *adds, gelu=False):
     Each add (a bias or a residual) must broadcast to the product's shape
     and goes into the GEMM's output in place, in order. Under `no_grad()`
     GELU overwrites that buffer as well; when recording, the op keeps that
-    pre-activation for its backward.
+    pre-activation and Phi of it for its backward.
     """
     adds = tuple(_wrap(t, x.dtype) for t in adds)
     a, b = x.data, w.data
     pre = (a.reshape(-1, a.shape[-1]) @ b).reshape(a.shape[:-1] + b.shape[1:])
     for t in adds:
         pre += t.data
-    out = pre
+    out, phi = pre, None
     if gelu:
-        out = _gelu(pre, out=None if _recording.get() else pre)
+        recording = _recording.get()
+        phi = np.empty_like(pre) if recording else None
+        out = _gelu(pre, out=None if recording else pre, phi=phi)
 
     def bw(g):
         if gelu:
-            g = _gelu(pre, g)
+            g = _gelu(pre, g, phi=phi)
         for t in reversed(adds):  # the order the composed adds run backward
             t._accum(_reduce_to(g, t.shape))
         g2 = g.reshape(-1, g.shape[-1])
-        x._accum((g2 @ b.T).reshape(a.shape))
-        w._accum(a.reshape(-1, a.shape[-1]).T @ g2)
+        x._accum((g2 @ b.T).reshape(a.shape), fresh=True)
+        w._accum(a.reshape(-1, a.shape[-1]).T @ g2, fresh=True)
 
     return Tensor(out, _parents=(x, w) + adds, _backward=bw)
 
@@ -359,6 +410,16 @@ def concat(tensors, axis=-1):
     )
 
 
+def _scatter_rows(table, idx, g):
+    """Scatter-add the rows of g into table.grad at idx (`kernels.scatter_add`)."""
+    if table.grad is None:
+        table.grad = np.zeros_like(table.data)
+    rows = np.ascontiguousarray(
+        g.reshape(-1, table.data.shape[1]), dtype=table.data.dtype
+    )
+    kernels.scatter_add(table.grad, idx.ravel(), rows)
+
+
 def gather_rows(table, idx):
     """table[idx] along axis 0; idx may have any shape.
 
@@ -368,23 +429,70 @@ def gather_rows(table, idx):
     idx = np.ascontiguousarray(idx, dtype=np.int64)
 
     def bw(g):
-        if table.grad is None:
-            table.grad = np.zeros_like(table.data)
-        rows = np.ascontiguousarray(
-            g.reshape(-1, table.data.shape[1]), dtype=table.data.dtype
-        )
-        kernels.scatter_add(table.grad, idx.ravel(), rows)
+        _scatter_rows(table, idx, g)
 
     return Tensor(table.data[idx], _parents=(table,), _backward=bw)
+
+
+def embed_window(table, idx, mask, pos, pos_idx, p, rng, training):
+    """One op for `dropout(gather_rows(table, idx), p, rng, training)`,
+    plus `gather_rows(pos, pos_idx)` unless `pos` is None, times `mask`.
+
+    idx and mask are [B, k], mask a constant array of the table's dtype;
+    pos_idx is [k], and the result [B, k, d]. Every step runs in place on
+    the gathered array. The backward multiplies by the mask into one new
+    buffer, sums it over B for the positions, applies the keep mask in
+    place and scatter-adds the table's rows, then the positions' rows:
+    the order in which the composed ops' backward scatters them.
+    """
+    idx = np.ascontiguousarray(idx, dtype=np.int64)
+    s = table.data[idx]
+    keep = _keep_mask(s.shape, p, rng, s.dtype) if training and p > 0.0 else None
+    if keep is not None:
+        s *= keep
+    if pos is not None:
+        s += pos.data[pos_idx]
+    m = mask[:, :, None]
+    np.multiply(s, m, out=s, casting="no")
+
+    def bw(g):
+        buf = g * m
+        pos_rows = None if pos is None else buf.sum(axis=0)
+        if keep is not None:
+            buf *= keep
+        _scatter_rows(table, idx, buf)
+        if pos is not None:
+            _scatter_rows(pos, pos_idx, pos_rows)
+
+    parents = (table,) if pos is None else (table, pos)
+    return Tensor(s, _parents=parents, _backward=bw)
+
+
+def _keep_mask(shape, p, rng, dtype):
+    """`(rng.random(shape) >= p).astype(dtype) / (1 - p)`, drawn in chunks.
+
+    Chunks of GELU_CHUNK draws take the same numbers from `rng` as one
+    draw of `shape` does and leave it in the same state, without a
+    float64 array of `shape`.
+    """
+    keep = np.empty(shape, dtype)
+    flat = keep.reshape(-1)
+    u = np.empty(min(flat.size, GELU_CHUNK))
+    for lo in range(0, flat.size, GELU_CHUNK):
+        n = min(GELU_CHUNK, flat.size - lo)
+        rng.random(out=u[:n])
+        np.greater_equal(u[:n], p, out=flat[lo:lo + n])
+    keep /= 1.0 - p
+    return keep
 
 
 def dropout(x, p, rng, training):
     """Inverted dropout: scales kept entries by 1/(1-p); identity in eval."""
     if not training or p <= 0.0:
         return x
-    keep = (rng.random(x.shape) >= p).astype(x.dtype) / (1.0 - p)
+    keep = _keep_mask(x.shape, p, rng, x.dtype)
 
     def bw(g):
-        x._accum(g * keep)
+        x._accum(g * keep, fresh=True)
 
     return Tensor(x.data * keep, _parents=(x,), _backward=bw)

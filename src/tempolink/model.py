@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .autodiff import Tensor, concat, dense, dropout, gather_rows
+from .autodiff import Tensor, concat, dense, dropout, embed_window, gather_rows
 from .data import QueryBatch, require_int, require_real, rng_for
 
 NEG_INF = -1e30  # additive mask; exp underflows to exactly 0 after the shift
@@ -128,20 +128,22 @@ class Model:
     # -- forward pieces -------------------------------------------------------
 
     def _neighbor_memory(self, batch: QueryBatch, training, rng):
-        """Embed the history window: S[b, j] for slot j, zeros on padding."""
+        """Embed the history window: S[b, j] for slot j, zeros on padding.
+
+        S is the peer's embedding row after dropout, plus the slot's
+        positional row, times the padding mask, so padded slots
+        contribute exact zeros. `embed_window` does all of it as one op
+        on one [B, k, dim] array.
+        """
         cfg, p = self.cfg, self.params
         k = batch.nbr_peer.shape[1]
         peer = np.where(batch.nbr_peer >= 0, batch.nbr_peer, cfg.num_nodes)
-        s = gather_rows(p["emb"], peer)
-        s = dropout(s, cfg.p_emb, rng, training)
         mask = batch.nbr_mask.astype(self.dtype)
-
+        pos = pos_idx = None
         if cfg.positional == "index":
             # slot k-1 is the most recent event and takes position 0
-            pos_idx = np.arange(k - 1, -1, -1, dtype=np.int64)
-            s = s + gather_rows(p["pos"], pos_idx)
-
-        s = s * Tensor(mask[:, :, None])  # padded slots contribute exact zeros
+            pos, pos_idx = p["pos"], np.arange(k - 1, -1, -1, dtype=np.int64)
+        s = embed_window(p["emb"], peer, mask, pos, pos_idx, cfg.p_emb, rng, training)
         return s, mask
 
     def _heads(self, x):
@@ -180,9 +182,9 @@ class Model:
         if cfg.use_elapsed:
             dt = np.log1p(batch.cand_dt).astype(self.dtype)[:, :, None]
             proj = dense(Tensor(dt), p["time.w"], p["time.b"])
-            known = Tensor(batch.cand_dt_known.astype(self.dtype)[:, :, None])
+            known = batch.cand_dt_known.astype(self.dtype)[:, :, None]
             # candidates never seen before get a learned stand-in vector
-            feats.append(proj * known + p["fresh"] * (known * -1.0 + 1.0))
+            feats.append(proj * known + p["fresh"] * (1.0 - known))
         if cfg.use_repeat:
             rc = np.log1p(batch.cand_repeat).astype(self.dtype)[:, :, None]
             feats.append(dense(Tensor(rc), p["repeat.w"], p["repeat.b"]))

@@ -12,7 +12,7 @@ import numpy as np
 from scipy import special
 
 from tempolink.array_io import save_arrays
-from tempolink.autodiff import Tensor, _gelu
+from tempolink.autodiff import Tensor, _gelu, dropout, gather_rows
 from tempolink.data import assemble_batch, rng_for, sample_negatives
 from tempolink.dataset import BUNDLE_KIND
 from tempolink.store import build_index, validate_edges
@@ -97,6 +97,15 @@ def gelu_op(x):
         x._accum(_gelu(x.data, g))
 
     return Tensor(_gelu(x.data), _parents=(x,), _backward=bw)
+
+
+def window_chain(table, idx, mask, pos, pos_idx, p, rng, training):
+    """`autodiff.embed_window` as the composed ops it fuses: gather,
+    dropout, the positional add and the mask, each a Tensor op of its own."""
+    s = dropout(gather_rows(table, idx), p, rng, training)
+    if pos is not None:
+        s = s + gather_rows(pos, pos_idx)
+    return s * Tensor(mask[:, :, None])
 
 
 def grad_check(fn, params, eps=1e-5, max_entries=200, seed=0):

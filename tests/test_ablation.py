@@ -1,7 +1,6 @@
 """Ablation plumbing: variant enumeration, dead inputs, determinism."""
 
 import numpy as np
-import pytest
 
 from tempolink.ablation import ablation_variants, run_ablation, save_ablation
 from tempolink.data import (

@@ -1,20 +1,23 @@
 """Autodiff primitives against hand-computed adjoints and finite differences."""
 
+import operator
 import tracemalloc
 
 import numpy as np
 import pytest
 from scipy import special
 
-from oracles import gelu64, gelu_op, grad_check, scatter_add_loop, t64
-from tempolink import kernels
+from oracles import gelu64, gelu_op, grad_check, scatter_add_loop, t64, window_chain
+from tempolink import autodiff, kernels
 from tempolink.autodiff import (
     GELU_CHUNK,
     Tensor,
+    _keep_mask,
     _reduce_to,
     concat,
     dense,
     dropout,
+    embed_window,
     gather_rows,
     no_grad,
 )
@@ -87,7 +90,8 @@ def test_other_matmuls_keep_the_batched_adjoint(a_shape, b_shape):
 @pytest.mark.parametrize("bias", [False, True])
 @pytest.mark.parametrize("residual", [False, True])
 @pytest.mark.parametrize("gelu", [False, True])
-def test_dense_is_the_composed_ops_bitwise(dtype, shape, bias, residual, gelu):
+def test_dense_is_the_composed_ops_bitwise(dtype, shape, bias, residual, gelu,
+                                           monkeypatch):
     rng = np.random.default_rng(10)
     add_shapes = [(6,)] * bias + [shape[:-1] + (6,)] * residual
     inputs = [Tensor(rng.standard_normal(s).astype(dtype))
@@ -108,7 +112,18 @@ def test_dense_is_the_composed_ops_bitwise(dtype, shape, bias, residual, gelu):
     got = dense(x, w, *adds, gelu=gelu)
     assert got.dtype == dtype
     assert got.data.tobytes() == want.data.tobytes()
+    erf_calls = []  # the backward reads the forward's Phi and evaluates no erf
+    if dtype == np.float32:
+        horner = autodiff._horner
+        monkeypatch.setattr(autodiff, "_horner",
+                            lambda *a: erf_calls.append(a) or horner(*a))
+    else:
+        erf = special.erf
+        monkeypatch.setattr(special, "erf",
+                            lambda *a, **kw: erf_calls.append(a) or erf(*a, **kw))
     got.backward(seed=seed)
+    monkeypatch.undo()
+    assert erf_calls == []
     for t, g in zip(inputs, want_grads):
         assert t.grad.dtype == dtype
         assert t.grad.tobytes() == g.tobytes()
@@ -134,6 +149,68 @@ def test_dense_under_no_grad_peaks_at_its_output():
         finally:
             tracemalloc.stop()
     assert peak <= out.nbytes + 2**20
+
+
+WINDOW_MODES = [("train", 0.2), ("train", 0.0), ("eval", 0.2)]
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize("positional", [True, False], ids=["pos", "no-pos"])
+@pytest.mark.parametrize("mode,p", WINDOW_MODES, ids=["train-p0.2", "train-p0", "eval"])
+def test_embed_window_is_the_composed_ops_bitwise(dtype, positional, mode, p,
+                                                  monkeypatch):
+    rng = np.random.default_rng(13)
+    B, k, d, n = 9, 6, 5, 8
+    mask = (rng.random((B, k)) < 0.6).astype(dtype)
+    mask[:, -1] = 1.0
+    idx = rng.integers(0, 3, (B, k))  # peers repeat within and across rows
+    idx[mask == 0] = n - 1  # padded slots read the padding row, as in the model
+    table = Tensor(rng.standard_normal((n, d)).astype(dtype))
+    pos = Tensor(rng.standard_normal((k, d)).astype(dtype)) if positional else None
+    pos_idx = np.arange(k - 1, -1, -1, dtype=np.int64)
+    seed = rng.standard_normal((B, k, d)).astype(dtype)
+    seed[0, 0, :2] = [-0.0, np.nan]
+    params = [table] + [pos] * positional
+    before = [a.tobytes() for a in [idx, mask] + [t.data for t in params]]
+    scatter = kernels.scatter_add
+
+    def run(op):
+        for t in params:
+            t.grad = None
+        calls = []  # (table rows, rows added), in call order
+        monkeypatch.setattr(kernels, "scatter_add", lambda table, i, rows: (
+            calls.append((len(table), len(i))), scatter(table, i, rows)))
+        drop = np.random.default_rng(21)
+        out = op(table, idx, mask, pos, pos_idx, p, drop, mode == "train")
+        assert out.dtype == dtype
+        out.backward(seed=seed)
+        return [out.data] + [t.grad for t in params], drop.bit_generator.state, calls
+
+    want, want_state, want_calls = run(window_chain)
+    got, got_state, got_calls = run(embed_window)
+    assert got_state == want_state and got_calls == want_calls
+    for a, b in zip(got, want):
+        assert a.tobytes() == b.tobytes()
+    assert np.isnan(table.grad).any()
+    with no_grad():
+        fast = embed_window(table, idx, mask, pos, pos_idx, p,
+                            np.random.default_rng(21), mode == "train")
+    assert fast._parents == () and fast.data.tobytes() == want[0].tobytes()
+    assert [a.tobytes() for a in [idx, mask] + [t.data for t in params]] == before
+
+
+@pytest.mark.parametrize("shape", [
+    (0,), (1,), (GELU_CHUNK - 1,), (GELU_CHUNK,), (GELU_CHUNK + 1,),
+    (3 * GELU_CHUNK + 7,), (200, 30, 64),
+], ids=["0", "1", "chunk-1", "chunk", "chunk+1", "3chunks+7", "hub-window"])
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_keep_mask_is_one_draw_taken_in_chunks(shape, dtype):
+    ours, one = np.random.default_rng(8), np.random.default_rng(8)
+    got = _keep_mask(shape, 0.3, ours, dtype)
+    want = (one.random(shape) >= 0.3).astype(dtype) / (1 - 0.3)
+    assert got.dtype == dtype and got.shape == shape
+    assert got.tobytes() == want.tobytes()
+    assert ours.bit_generator.state == one.bit_generator.state
 
 
 def _softmax_reference(logits, scale, bias, g):
@@ -378,6 +455,28 @@ def test_broadcast_add_reduces_gradient():
     np.testing.assert_allclose(b.grad, np.full(4, 3.0))
 
 
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize("op", [operator.add, operator.mul], ids=["add", "mul"])
+@pytest.mark.parametrize("const", ["scalar", "row", "column", "full"])
+def test_a_constant_operand_gets_no_adjoint(dtype, op, const):
+    rng = np.random.default_rng(14)
+    shapes = {"scalar": (), "row": (5,), "column": (4, 1), "full": (4, 5)}
+    c = rng.standard_normal(shapes[const]).astype(dtype)
+    c = float(c) if const == "scalar" else c
+    x_data = rng.standard_normal((4, 5)).astype(dtype)
+    seed = rng.standard_normal((4, 5)).astype(dtype)
+    wx = Tensor(x_data)
+    wrapped = op(wx, Tensor(np.asarray(c, dtype)))
+    wrapped.backward(seed=seed)
+
+    x = Tensor(x_data)
+    out = op(x, c)
+    assert out._parents == (x,)
+    out.backward(seed=seed)
+    assert out.data.tobytes() == wrapped.data.tobytes()
+    assert x.grad.tobytes() == wx.grad.tobytes()
+
+
 def test_diamond_graph_accumulates_both_paths():
     x = Tensor(np.array(3.0))
     y = x * x + x * 2.0  # dy/dx = 2x + 2 = 8
@@ -409,6 +508,47 @@ def test_first_gradient_is_a_new_c_contiguous_array_of_the_tensors_shape(dtype):
     s._accum(np.array(-0.0, dtype))
     assert isinstance(s.grad, np.ndarray) and s.grad.shape == ()
     assert s.grad.tobytes() == np.zeros((), dtype).tobytes()
+
+
+def _handing(t, grad, fresh=False):
+    """An op on t whose backward hands t `grad` as its gradient."""
+    return Tensor(t.data * 1, _parents=(t,),
+                  _backward=lambda g: t._accum(grad, fresh=fresh))
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_first_gradient_is_adopted_only_where_nothing_else_writes_it(dtype):
+    g = np.array([[-0.0, 1.5, -2.0], [0.0, -0.0, 3.0]], dtype)
+    g_bytes = g.tobytes()
+    clean = np.ascontiguousarray(g.T) + 0  # -0.0 turned into 0.0
+
+    # an op's result with one consumer takes its consumer's view as it is
+    y = Tensor(np.zeros((3, 2), dtype)) * 1.0
+    _handing(y, g.T).sum().backward()
+    assert np.shares_memory(y.grad, g) and y.grad.tobytes() == g.T.tobytes()
+    # a later walk through y adds into a copy, not into the view
+    _handing(y, np.ones((3, 2), dtype)).sum().backward()
+    assert g.tobytes() == g_bytes and y.grad.tobytes() == (g.T + 1).tobytes()
+    r = Tensor(np.zeros((3, 2), dtype)) * 1.0
+    z = r.transpose(1, 0)  # a real op: r's gradient is z's, transposed
+    z.backward(seed=np.ones((2, 3), dtype))
+    assert np.shares_memory(r.grad, z.grad)
+
+    # a leaf, or a result with two consumers, gets its own C-contiguous copy
+    leaf = Tensor(np.zeros((3, 2), dtype))
+    _handing(leaf, g.T).sum().backward()
+    two = Tensor(np.zeros((3, 2), dtype)) * 1.0
+    (_handing(two, g.T).sum() + _handing(two, g.T).sum()).backward()
+    for t, want in [(leaf, clean), (two, clean * 2)]:
+        assert t.grad.flags.c_contiguous and not np.shares_memory(t.grad, g)
+        assert t.grad.tobytes() == want.tobytes()
+
+    # a new array that its op hands over is adopted, -0.0 turned into 0.0
+    new = np.ascontiguousarray(g.T)
+    fresh = Tensor(np.zeros((3, 2), dtype))
+    _handing(fresh, new, fresh=True).sum().backward()
+    assert fresh.grad is new and new.tobytes() == clean.tobytes()
+    assert g.tobytes() == g_bytes
 
 
 # -- finite differences ---------------------------------------------------------

@@ -10,7 +10,6 @@ import pytest
 from oracles import random_graph
 from tempolink.data import assemble_batch, chronological_split, eval_negatives, SplitSpec
 from tempolink.evaluate import (
-    EvalReport,
     edgebank_scores,
     evaluate,
     evaluate_edgebank,
