@@ -38,10 +38,20 @@ The workloads write integer ids separated by spaces. A fourth run,
 `c10_bipartite`, ingests c10's events with `--bipartite`, so that every
 source id is apart from the destination pool; it trains in single
 precision, ranks the test split with the model and with EdgeBank, and
-so covers sampling from a bipartite pool. A fifth input, `ingest_csv`,
-is only ingested, plain and with `--bipartite`: a small comma-separated
-file with a header, blank lines, string ids, quoted fields and extra
-columns, the ingest paths the workloads never take.
+so covers sampling from a bipartite pool. Two more inputs are only
+ingested, plain and with `--bipartite`, for the ingest paths the
+workloads never take:
+
+  * `ingest_csv`: a small comma-separated file with a header, blank
+    lines, string ids, quoted fields and extra columns.
+  * `ingest_spaces`: a small whitespace-separated file with tabs, runs
+    of spaces, a blank line, an extra column, tied times, and ids longer
+    than 8 and than 16 bytes, some of them not ASCII.
+
+Every bundle an ingest writes also gets an `index` line: the sha256 of
+the arrays `store.build_index` makes of it, computed by the checkout's
+own package, so the index is compared directly and not only through the
+weights trained on it.
 """
 
 import argparse
@@ -93,6 +103,40 @@ INGEST_CSV = (
     '7,"say ""hi""",0.25,1,extra\n'
     "alice , 007 ,3\n"
 )
+
+# ids of 1 to 43 bytes, some not ASCII and some in both columns; tabs,
+# runs of spaces, a blank line, an extra column and tied times
+INGEST_SPACES = (
+    "user_000000000001 item_long_name_0042 5\n"
+    "\u00f1and\u00fa\tuser_000000000001   3\n"
+    "\u6771\u4eac\u30bf\u30ef\u30fc  \u00f1and\u00fa 3\n"
+    "user_000000000002 user_000000000001 1.5\n"
+    "\n"
+    "item_long_name_0042\t\u6771\u4eac\u30bf\u30ef\u30fc 7 extra\n"
+    "user_000000000001 item_long_name_0042 3\n"
+    "an_id_that_runs_past_forty_bytes_0000000001 \u00e9 2\n"
+    "\u00e9 x 2\n"
+)
+
+# the arrays of a `store.NeighborIndex`, hashed in this order
+INDEX_ARRAYS = ("times", "ev_key", "ev_peer", "act_key", "pair_ids", "pair_key",
+                "pair_start")
+
+# run with the checkout's package: one sha256 per bundle path argument
+INDEX_DIGESTS = f"""
+import hashlib, sys
+from tempolink.dataset import load_bundle
+from tempolink.store import build_index
+for path in sys.argv[1:]:
+    src, dst, t, meta = load_bundle(path)
+    index = build_index(src, dst, t, meta.num_nodes)
+    h = hashlib.sha256()
+    for name in {INDEX_ARRAYS!r}:
+        a = getattr(index, name)
+        h.update(f"{{name}} {{a.dtype.str}} {{a.shape}}".encode())
+        h.update(a.tobytes())
+    print(h.hexdigest())
+"""
 
 WORKLOADS = {
     "c10": (c10_events, 7, {
@@ -186,12 +230,20 @@ def run_bipartite(cli, work, events, seed, config):
     cli("evaluate", *common, "--edgebank", "--out", work / "edgebank_report.json")
 
 
-def ingest_only(cli, work):
+def ingest_only(cli, work, text):
     work.mkdir()
-    (work / "events.csv").write_bytes(INGEST_CSV.encode())
-    cli("ingest", "--input", work / "events.csv", "--out", work / "plain.bin")
-    cli("ingest", "--input", work / "events.csv", "--out", work / "bipartite.bin",
+    (work / "events.txt").write_bytes(text.encode())
+    cli("ingest", "--input", work / "events.txt", "--out", work / "plain.bin")
+    cli("ingest", "--input", work / "events.txt", "--out", work / "bipartite.bin",
         "--bipartite")
+
+
+def index_digests(env, work, bundles):
+    """{"<bundle> index": sha256 of its `build_index` arrays}."""
+    out = subprocess.run([sys.executable, "-c", INDEX_DIGESTS, *map(str, bundles)],
+                         env=env, check=True, capture_output=True, text=True)
+    return {f"{Path(b).relative_to(work)} index": digest
+            for b, digest in zip(bundles, out.stdout.split())}
 
 
 def main(argv=None):
@@ -199,17 +251,23 @@ def main(argv=None):
     ap.add_argument("checkout", type=Path, help="repository root to run")
     args = ap.parse_args(argv)
     env = dict(os.environ, PYTHONPATH=str(args.checkout.resolve() / "src"))
+    bundles = []
 
     def cli(*argv):
+        if argv[0] == "ingest":
+            bundles.append(argv[argv.index("--out") + 1])
         subprocess.run([sys.executable, "-m", "tempolink.cli", *map(str, argv)],
                        env=env, check=True, stdout=subprocess.DEVNULL)
 
     with tempfile.TemporaryDirectory() as tmp:
+        work = Path(tmp)
         for name, (events, seed, config) in WORKLOADS.items():
-            run_workload(cli, Path(tmp) / name, events, seed, config)
-        run_bipartite(cli, Path(tmp) / "c10_bipartite", *WORKLOADS["c10"])
-        ingest_only(cli, Path(tmp) / "ingest_csv")
-        for artifact, digest in digests(Path(tmp)).items():
+            run_workload(cli, work / name, events, seed, config)
+        run_bipartite(cli, work / "c10_bipartite", *WORKLOADS["c10"])
+        ingest_only(cli, work / "ingest_csv", INGEST_CSV)
+        ingest_only(cli, work / "ingest_spaces", INGEST_SPACES)
+        found = digests(work) | index_digests(env, work, bundles)
+        for artifact, digest in found.items():
             print(f"{digest}  {artifact}")
 
 

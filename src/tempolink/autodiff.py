@@ -4,8 +4,8 @@ Tensors wrap an ndarray plus a backward closure; calling backward() on a
 scalar loss walks the graph in reverse topological order and accumulates
 a gradient into every tensor on it. Only the operations this package
 needs exist, and each op states its adjoint inline. A plain array or
-number combined with a Tensor by `+` or `*` is a constant: it is no
-parent of the result and gets no gradient.
+number combined with a Tensor by `+` or `*`, or given to `dense`, is a
+constant: it is no parent of the result and gets no gradient.
 
 Every op keeps its input dtype: a result has the dtype of its parents,
 and every gradient has the dtype of the tensor it accumulates into.
@@ -357,12 +357,6 @@ class Tensor:
         return Tensor(y, _parents=(self,), _backward=bw)
 
 
-def _wrap(x, dtype):
-    if isinstance(x, Tensor):
-        return x
-    return Tensor(np.asarray(x, dtype=dtype))
-
-
 def dense(x, w, *adds, gelu=False):
     """`x @ w + adds[0] + ...`, then GELU if `gelu`, as one op; `w` is 2-D.
 
@@ -371,13 +365,18 @@ def dense(x, w, *adds, gelu=False):
     Each add (a bias or a residual) must broadcast to the product's shape
     and goes into the GEMM's output in place, in order. Under `no_grad()`
     GELU overwrites that buffer as well; when recording, the op keeps that
-    pre-activation and Phi of it for its backward.
+    pre-activation and Phi of it for its backward. An operand that is no
+    Tensor is a constant of the Tensor operands' dtype: it is no parent
+    and gets no gradient, so its GEMM in the backward is skipped.
     """
-    adds = tuple(_wrap(t, x.dtype) for t in adds)
-    a, b = x.data, w.data
+    ops = (x, w) + adds
+    parents = tuple(o for o in ops if isinstance(o, Tensor))
+    dtype = parents[0].dtype if parents else None
+    a, b, *add_values = (o.data if isinstance(o, Tensor) else
+                         np.asarray(o, dtype=dtype) for o in ops)
     pre = (a.reshape(-1, a.shape[-1]) @ b).reshape(a.shape[:-1] + b.shape[1:])
-    for t in adds:
-        pre += t.data
+    for v in add_values:
+        pre += v
     out, phi = pre, None
     if gelu:
         recording = _recording.get()
@@ -388,12 +387,15 @@ def dense(x, w, *adds, gelu=False):
         if gelu:
             g = _gelu(pre, g, phi=phi)
         for t in reversed(adds):  # the order the composed adds run backward
-            t._accum(_reduce_to(g, t.shape))
+            if isinstance(t, Tensor):
+                t._accum(_reduce_to(g, t.shape))
         g2 = g.reshape(-1, g.shape[-1])
-        x._accum((g2 @ b.T).reshape(a.shape), fresh=True)
-        w._accum(a.reshape(-1, a.shape[-1]).T @ g2, fresh=True)
+        if isinstance(x, Tensor):
+            x._accum((g2 @ b.T).reshape(a.shape), fresh=True)
+        if isinstance(w, Tensor):
+            w._accum(a.reshape(-1, a.shape[-1]).T @ g2, fresh=True)
 
-    return Tensor(out, _parents=(x, w) + adds, _backward=bw)
+    return Tensor(out, _parents=parents, _backward=bw)
 
 
 def concat(tensors, axis=-1):

@@ -7,7 +7,7 @@ from typing import Optional
 import numpy as np
 
 from .array_io import load_arrays, save_arrays
-from .store import NeighborIndex
+from .store import NeighborIndex, stable_order
 
 
 def rng_for(seed: int, *keys) -> np.random.Generator:
@@ -136,7 +136,7 @@ def eval_negatives(src, dst, t, sl, pool, q, seed, bipartite=False):
         lo = np.searchsorted(t, t[sl.start], "left")
         hi = np.searchsorted(t, t[sl.stop - 1], "right")
     key = src[lo:hi] * (hi - lo) + np.searchsorted(t[lo:hi], t[lo:hi])
-    order = np.argsort(key, kind="stable")
+    order = stable_order(key)
     keys, peers = key[order], dst[lo:hi][order]
     row_keys = key[sl.start - lo:sl.stop - lo]
     first = np.searchsorted(keys, row_keys, "left")

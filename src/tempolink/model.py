@@ -75,6 +75,34 @@ def _normal(seed, name, shape, scale, dtype):
     return (rng.standard_normal(shape) * scale).astype(dtype)
 
 
+def param_table(cfg: ModelConfig):
+    """{name: (shape, init)} for every parameter, in a fixed order; init is
+    how `init_params` fills it: "normal", "glorot" or "zeros"."""
+    d, f = cfg.dim, cfg.ffn_mult * cfg.dim
+    table = {"emb": ((cfg.num_nodes + 1, d), "normal")}
+    if cfg.positional == "index":
+        table["pos"] = ((cfg.k, d), "normal")
+    for layer in range(cfg.layers):
+        for w in ("wq", "wk", "wv", "wo"):
+            table[f"l{layer}.{w}"] = ((d, d), "glorot")
+        table[f"l{layer}.ffn.w1"] = ((d, f), "glorot")
+        table[f"l{layer}.ffn.b1"] = ((f,), "zeros")
+        table[f"l{layer}.ffn.w2"] = ((f, d), "glorot")
+        table[f"l{layer}.ffn.b2"] = ((d,), "zeros")
+    if cfg.use_elapsed:
+        table["time.w"] = ((1, d), "glorot")
+        table["time.b"] = ((d,), "zeros")
+        table["fresh"] = ((d,), "normal")
+    if cfg.use_repeat:
+        table["repeat.w"] = ((1, d), "glorot")
+        table["repeat.b"] = ((d,), "zeros")
+    table["head.w1"] = ((cfg.mlp_in_width(), d), "glorot")
+    table["head.b1"] = ((d,), "zeros")
+    table["head.w2"] = ((d, 1), "glorot")
+    table["head.b2"] = ((1,), "zeros")
+    return table
+
+
 def init_params(cfg: ModelConfig, seed: int, dtype=np.float32):
     """Fresh parameter tensors, each array seeded by its own name.
 
@@ -82,48 +110,30 @@ def init_params(cfg: ModelConfig, seed: int, dtype=np.float32):
     shape start from identical values, which keeps ablation comparisons
     honest: a variant differs only where its architecture differs.
     """
-    d, scale = cfg.dim, 1.0 / np.sqrt(cfg.dim)
+    scale = 1.0 / np.sqrt(cfg.dim)
     p = {}
-
-    emb = _normal(seed, "emb", (cfg.num_nodes + 1, d), scale, dtype)
-    emb[cfg.num_nodes] = 0.0  # padding row, stays zero (masked out of every path)
-    p["emb"] = emb
-
-    if cfg.positional == "index":
-        p["pos"] = _normal(seed, "pos", (cfg.k, d), scale, dtype)
-
-    for layer in range(cfg.layers):
-        for w in ("wq", "wk", "wv", "wo"):
-            p[f"l{layer}.{w}"] = _glorot(seed, f"l{layer}.{w}", d, d, dtype)
-        f = cfg.ffn_mult * d
-        p[f"l{layer}.ffn.w1"] = _glorot(seed, f"l{layer}.ffn.w1", d, f, dtype)
-        p[f"l{layer}.ffn.b1"] = np.zeros(f, dtype=dtype)
-        p[f"l{layer}.ffn.w2"] = _glorot(seed, f"l{layer}.ffn.w2", f, d, dtype)
-        p[f"l{layer}.ffn.b2"] = np.zeros(d, dtype=dtype)
-
-    if cfg.use_elapsed:
-        p["time.w"] = _glorot(seed, "time.w", 1, d, dtype)
-        p["time.b"] = np.zeros(d, dtype=dtype)
-        p["fresh"] = _normal(seed, "fresh", (d,), scale, dtype)
-    if cfg.use_repeat:
-        p["repeat.w"] = _glorot(seed, "repeat.w", 1, d, dtype)
-        p["repeat.b"] = np.zeros(d, dtype=dtype)
-
-    w_in = cfg.mlp_in_width()
-    p["head.w1"] = _glorot(seed, "head.w1", w_in, d, dtype)
-    p["head.b1"] = np.zeros(d, dtype=dtype)
-    p["head.w2"] = _glorot(seed, "head.w2", d, 1, dtype)
-    p["head.b2"] = np.zeros(1, dtype=dtype)
-
+    for name, (shape, init) in param_table(cfg).items():
+        if init == "normal":
+            p[name] = _normal(seed, name, shape, scale, dtype)
+        elif init == "glorot":
+            p[name] = _glorot(seed, name, *shape, dtype)
+        else:
+            p[name] = np.zeros(shape, dtype=dtype)
+    p["emb"][cfg.num_nodes] = 0.0  # padding row, stays zero (masked out of every path)
     return {k: Tensor(v) for k, v in p.items()}
 
 
 class Model:
-    def __init__(self, cfg: ModelConfig, seed: int, dtype=np.float32):
+    def __init__(self, cfg: ModelConfig, seed: int, dtype=np.float32, arrays=None):
+        """A model with freshly drawn parameters, or with `arrays`, a
+        checkpoint's, which must pass `load_state`; then nothing is drawn."""
         self.cfg = cfg
         self.seed = seed
         self.dtype = np.dtype(dtype)
-        self.params = init_params(cfg, seed, self.dtype)
+        if arrays is None:
+            self.params = init_params(cfg, seed, self.dtype)
+        else:
+            self.load_state(arrays)
 
     # -- forward pieces -------------------------------------------------------
 
@@ -181,13 +191,13 @@ class Model:
         feats = [h]
         if cfg.use_elapsed:
             dt = np.log1p(batch.cand_dt).astype(self.dtype)[:, :, None]
-            proj = dense(Tensor(dt), p["time.w"], p["time.b"])
+            proj = dense(dt, p["time.w"], p["time.b"])
             known = batch.cand_dt_known.astype(self.dtype)[:, :, None]
             # candidates never seen before get a learned stand-in vector
             feats.append(proj * known + p["fresh"] * (1.0 - known))
         if cfg.use_repeat:
             rc = np.log1p(batch.cand_repeat).astype(self.dtype)[:, :, None]
-            feats.append(dense(Tensor(rc), p["repeat.w"], p["repeat.b"]))
+            feats.append(dense(rc, p["repeat.w"], p["repeat.b"]))
         x = concat(feats, axis=-1) if len(feats) > 1 else feats[0]
         x = dense(x, p["head.w1"], p["head.b1"], gelu=True)
         x = dropout(x, cfg.p_hidden, rng, training)
@@ -220,19 +230,22 @@ class Model:
         return {k: t.data for k, t in self.params.items()}
 
     def load_state(self, arrays):
-        stray = sorted(set(arrays) - set(self.params))
+        """Replace the parameters with copies of `arrays`, whose names and
+        shapes must be those of `param_table`."""
+        table = param_table(self.cfg)
+        stray = sorted(set(arrays) - set(table))
         if stray:
             raise ValueError(
                 f"checkpoint array {stray[0]} is no parameter of this model")
-        for k, t in self.params.items():
+        for k, (shape, _) in table.items():
             if k not in arrays:
                 raise ValueError(f"checkpoint missing parameter {k}")
-            if arrays[k].shape != t.data.shape:
+            if arrays[k].shape != shape:
                 raise ValueError(
-                    f"parameter {k}: shape {arrays[k].shape} != {t.data.shape}"
+                    f"parameter {k}: shape {arrays[k].shape} != {shape}"
                 )
-            t.data = arrays[k].astype(self.dtype, copy=True)
-            t.grad = None
+        self.params = {k: Tensor(arrays[k].astype(self.dtype, copy=True))
+                       for k in table}
 
 
 def bpr_loss(scores: Tensor) -> Tensor:
@@ -240,5 +253,5 @@ def bpr_loss(scores: Tensor) -> Tensor:
     B, C = scores.shape
     if C != 2:
         raise ValueError("pairwise loss needs exactly one negative per positive")
-    pos_minus_neg = scores @ Tensor(np.array([[1.0], [-1.0]], dtype=scores.dtype))
+    pos_minus_neg = dense(scores, np.array([[1.0], [-1.0]], dtype=scores.dtype))
     return (pos_minus_neg * -1.0).softplus().mean()

@@ -164,9 +164,8 @@ def load_checkpoint(path) -> Model:
     if not isinstance(digest, str):
         raise ValueError(f"{path}: checkpoint extra must be an object whose "
                          f"bundle_sha256 is a string, got {extra!r}")
-    model = Model(cfg, seed=seed, dtype=np.dtype(meta["dtype"]))
     try:
-        model.load_state(arrays)
+        model = Model(cfg, seed=seed, dtype=np.dtype(meta["dtype"]), arrays=arrays)
     except ValueError as e:
         raise ValueError(f"{path}: {e}") from None
     model.extra = extra

@@ -14,8 +14,8 @@ from scipy import special
 from tempolink.array_io import save_arrays
 from tempolink.autodiff import Tensor, _gelu, dropout, gather_rows
 from tempolink.data import assemble_batch, rng_for, sample_negatives
-from tempolink.dataset import BUNDLE_KIND
-from tempolink.store import build_index, validate_edges
+from tempolink.dataset import _KEEP, BUNDLE_KIND, _words
+from tempolink.store import NeighborIndex, build_index, validate_edges
 
 
 class LinearScanOracle:
@@ -352,3 +352,41 @@ def ingest_per_row(input_path, out_path, bipartite=False):
     core = {"num_nodes": num_nodes, "bipartite": bool(bipartite), "m": m}
     digest = save_arrays(out_path, arrays, meta=dict(core, kind=BUNDLE_KIND))
     return dict(core, sha256=digest)
+
+
+def build_index_by_unique(src, dst, t, num_nodes):
+    """`store.build_index` as it was before it sorted values: distinct
+    times and pairs from `np.unique` with its inverse, stable argsorts of
+    indices, and a sort of the pair keys of their own."""
+    src = np.ascontiguousarray(src, dtype=np.int64)
+    dst = np.ascontiguousarray(dst, dtype=np.int64)
+    t = np.ascontiguousarray(t, dtype=np.float64)
+    times, rank = np.unique(t, return_inverse=True)
+    width = times.size + 1
+    order = np.argsort(src, kind="stable")
+    act_key = np.sort(np.concatenate([src, dst]) * width + np.tile(rank, 2))
+    pair_ids, pair_of, n_events = np.unique(
+        src * num_nodes + dst, return_inverse=True, return_counts=True)
+    return NeighborIndex(
+        num_nodes=num_nodes, times=times,
+        ev_key=(src * width + rank)[order], ev_peer=dst[order], act_key=act_key,
+        pair_ids=pair_ids, pair_key=np.sort(pair_of * width + rank),
+        pair_start=np.concatenate(([0], np.cumsum(n_events))),
+    )
+
+
+def densify_by_unique(buf, start, length, role):
+    """`dataset._densify` as it was before it sorted values: `np.unique`
+    over the padded words viewed as one void item, first appearances by
+    `np.minimum.at`, ids by an argsort of them."""
+    width = int(length.max(initial=0)) + (role is not None)
+    keys = _words(buf, start, length, -(-width // 8))
+    if role is not None:
+        keys[:, -1] = keys[:, -1] & _KEEP[7] | role.astype("<u8") << 56
+    keys = keys.view("<u8" if keys.shape[1] == 1 else f"V{8 * keys.shape[1]}")
+    uniq, inv = np.unique(keys.ravel(), return_inverse=True)
+    first = np.full(uniq.size, inv.size)
+    np.minimum.at(first, inv, np.arange(inv.size))
+    rank = np.empty(uniq.size, dtype=np.int64)
+    rank[np.argsort(first)] = np.arange(uniq.size)
+    return rank[inv], uniq.size

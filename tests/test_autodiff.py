@@ -477,6 +477,29 @@ def test_a_constant_operand_gets_no_adjoint(dtype, op, const):
     assert x.grad.tobytes() == wx.grad.tobytes()
 
 
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize("gelu", [False, True], ids=["linear", "gelu"])
+@pytest.mark.parametrize("const", ["x", "w", "bias", "residual"])
+def test_dense_takes_a_plain_array_as_a_constant(dtype, gelu, const):
+    rng = np.random.default_rng(15)
+    names = ("x", "w", "bias", "residual")
+    shapes = ((3, 4, 5), (5, 6), (6,), (3, 4, 6))
+    values = {n: rng.standard_normal(s).astype(dtype) for n, s in zip(names, shapes)}
+    seed = rng.standard_normal((3, 4, 6)).astype(dtype)
+    wrapped = {n: Tensor(v) for n, v in values.items()}
+    want = dense(*wrapped.values(), gelu=gelu)
+    want.backward(seed=seed)
+
+    tensors = {n: Tensor(v) for n, v in values.items() if n != const}
+    out = dense(*(tensors.get(n, values[n]) for n in names), gelu=gelu)
+    assert out._parents == tuple(tensors.values())
+    out.backward(seed=seed)
+    assert out.data.dtype == dtype
+    assert out.data.tobytes() == want.data.tobytes()
+    for n, t in tensors.items():
+        assert t.grad.tobytes() == wrapped[n].grad.tobytes(), n
+
+
 def test_diamond_graph_accumulates_both_paths():
     x = Tensor(np.array(3.0))
     y = x * x + x * 2.0  # dy/dx = 2x + 2 = 8

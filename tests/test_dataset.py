@@ -13,8 +13,8 @@ import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
-from oracles import ingest_per_row
-from tempolink.dataset import ingest, load_bundle
+from oracles import densify_by_unique, ingest_per_row
+from tempolink.dataset import _densify, _digit_times, _words, ingest, load_bundle
 
 SRC = Path(__file__).resolve().parents[1] / "src"
 
@@ -22,7 +22,7 @@ SRC = Path(__file__).resolve().parents[1] / "src"
 NAMED_IDS = ["7", "007", "0", "42", "user-0000001234", "é", "节点", "x" * 17]
 CSV_IDS = ["a,b", 'say "hi"', " padded ", "two words"]  # quoted or stripped
 TIMES = ["0", "1", "2", "2", "3.5", "1e3", "-0.0", "007", "1_000", ".5",
-         "12345678901234567"]
+         "12345678901234567", "1700000000", "123456789012345"]
 BAD_TIMES = ["nan", "inf", "soon", "1__0"]
 GAPS = [" ", "  ", "\t", " \t", "\xa0", "\x1c", "\u3000"]
 ENDINGS = ["\n", "\n", "\r\n", "\r"]
@@ -94,6 +94,62 @@ def test_ingest_matches_the_per_row_oracle(case):
         got = _outcome(ingest, raw, Path(tmp) / "bulk.bin", bipartite)
         want = _outcome(ingest_per_row, raw, Path(tmp) / "oracle.bin", bipartite)
     assert got == want
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.data())
+def test_densify_is_the_unique_based_numbering(data):
+    # tokens of 1 to 3 words, not ASCII, and some 8 or 16 bytes exactly
+    names = st.text("ab07é节-_.", min_size=1, max_size=20) | st.sampled_from(
+        NAMED_IDS + ["x" * 8, "y" * 16, "节" * 6, "é" * 4])
+    pool = data.draw(st.lists(names, min_size=1, max_size=8), label="pool")
+    tokens = data.draw(st.lists(st.sampled_from(pool), min_size=1, max_size=40),
+                       label="tokens")
+    role = None
+    if data.draw(st.booleans(), label="bipartite"):
+        role = np.array(data.draw(st.lists(st.integers(0, 1), min_size=len(tokens),
+                                           max_size=len(tokens))), dtype=np.uint8)
+    encoded = [tok.encode() for tok in tokens]
+    buf = np.frombuffer(b" ".join(encoded) + b" ", dtype=np.uint8)
+    length = np.array([len(e) for e in encoded], dtype=np.int64)
+    start = np.cumsum(length + 1) - length - 1
+    ids, n = _densify(buf, start, length, role)
+    want_ids, want_n = densify_by_unique(buf, start, length, role)
+    assert ids.dtype == want_ids.dtype == np.int64
+    assert (ids.tolist(), n) == (want_ids.tolist(), want_n)
+    # numbered by first appearance, and equal exactly where names and roles are
+    names_roles = list(zip(tokens, [0] * len(tokens) if role is None else role))
+    first = {}
+    for key in names_roles:
+        first.setdefault(key, len(first))
+    assert ids.tolist() == [first[key] for key in names_roles]
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(st.text("0123456789", min_size=1, max_size=15)
+                | st.sampled_from(["0", "00000000", "99999999", "100000000",
+                                   "999999999999999", "000000000000001"]),
+                min_size=1, max_size=30),
+       st.sampled_from([None, "", "1.5", "-3", "+4", "1e3", "1_0", "1 2", "٣",
+                        "1234567890123456", "0000000000000000"]))
+def test_digit_times_are_numpys_parse(tokens, other):
+    """Tokens of 1 to 15 digits parse to numpy's float64 bytes; a list with
+    any other token gives None."""
+    if other is not None:
+        tokens = tokens + [other]
+    encoded = [tok.encode() for tok in tokens]
+    buf = np.frombuffer(b" ".join(encoded) + b" ", dtype=np.uint8)
+    length = np.array([len(e) for e in encoded], dtype=np.int64)
+    start = np.cumsum(length + 1) - length - 1
+    words = int(length.max()) // 8 + 1
+    tok = _words(buf, start, length, words)
+    got = _digit_times(tok, length)
+    if other is not None:
+        assert got is None
+    else:
+        want = tok.view(f"S{8 * words}").ravel().astype(np.float64)
+        assert got.dtype == np.float64
+        assert got.tobytes() == want.tobytes()
 
 
 def test_ingest_drops_a_leading_byte_order_mark(tmp_path):

@@ -273,6 +273,19 @@ def test_float32_model_computes_in_float32_end_to_end():
         assert p.grad is not None and p.grad.dtype == np.float32, name
 
 
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_every_leaf_of_a_training_step_is_a_parameter(dtype):
+    """Side features and the loss weight are constants: nothing computes
+    a gradient for them."""
+    cfg = ModelConfig(num_nodes=30, dim=16, heads=2, layers=1, k=6,
+                      use_repeat=True)
+    model = Model(cfg, seed=6, dtype=dtype)
+    loss = bpr_loss(model.score(make_batch(seed=16, C=2), training=True,
+                                rng=np.random.default_rng(3)))
+    leaves = {id(n) for n in _graph_nodes(loss) if not n._parents}
+    assert leaves == {id(p) for p in model.params.values()}
+
+
 @pytest.mark.parametrize("positional", ["index", "none"])
 def test_float32_scores_match_float64_reference(positional):
     cfg = ModelConfig(num_nodes=30, dim=16, heads=2, layers=2, k=6,

@@ -6,9 +6,16 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from oracles import LinearScanOracle, random_graph
+from oracles import LinearScanOracle, build_index_by_unique, random_graph
+from tempolink import store
 from tempolink.data import pair_counts
-from tempolink.store import GraphMeta, build_index, sorted_search, validate_edges
+from tempolink.store import (GraphMeta, build_index, sorted_search, stable_order,
+                             validate_edges)
+
+# keys at and past 2**32, at the split of a word below 64 keys (bit 57), and
+# the largest int64
+EDGES = [0, 1, 2**31 - 1, 2**32 - 1, 2**32, 2**32 + 1, 2**57 - 1, 2**57,
+         2**62, 2**63 - 1]
 
 
 @pytest.fixture(scope="module")
@@ -351,3 +358,122 @@ def test_recent_window_properties(seed, k):
         assert peer[b, k - int(n[b]):].tolist() == want_p
         assert time[b, k - int(n[b]):].tolist() == want_t
         assert (time[b, k - int(n[b]):] < qt[b]).all()
+
+
+def _int64_keys(draw):
+    """A list of int64 keys: often tied, often at a digit's edge, some huge."""
+    values = st.one_of(st.sampled_from(EDGES), st.integers(0, 2**63 - 1),
+                       st.integers(-2**63, 2**63 - 1))
+    pool = draw(st.lists(values, min_size=1, max_size=6))
+    return draw(st.lists(st.sampled_from(pool) | values, max_size=60))
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.data())
+def test_stable_order_is_a_stable_argsort(data):
+    keys = np.array(_int64_keys(data.draw), dtype=np.int64)
+    got = stable_order(keys)
+    assert got.dtype == np.int64
+    assert got.tolist() == np.argsort(keys, kind="stable").tolist()
+    if (keys >= 0).all():  # the same values as uint64 order the same
+        assert stable_order(keys.astype(np.uint64)).tolist() == got.tolist()
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.data())
+def test_stable_order_of_multi_word_keys_is_lexsort(data):
+    words = data.draw(st.integers(1, 3), label="words")
+    top = st.integers(2**63, 2**64 - 1)  # the top bit set
+    pool = data.draw(st.lists(st.lists(top | st.integers(0, 2**64 - 1)
+                                       | st.sampled_from(EDGES),
+                                       min_size=words, max_size=words),
+                              min_size=1, max_size=5), label="pool")
+    rows = data.draw(st.lists(st.sampled_from(pool), max_size=50), label="rows")
+    keys = np.array(rows, dtype=np.uint64).reshape(-1, words)
+    want = np.lexsort(keys.T[::-1])
+    assert stable_order(keys).tolist() == want.tolist()
+    signed = keys.view(np.int64)
+    assert stable_order(signed).tolist() == np.lexsort(signed.T[::-1]).tolist()
+
+
+@pytest.mark.parametrize("keys", [
+    [], [2**63 - 1], [5] * 40, [2**32] * 7 + [2**32 - 1] * 7,
+    [2**63 - 1, 0, 2**32, 2**63 - 1, 0, 2**32 + 1, 2**32],
+], ids=["empty", "one", "all-ties", "ties-across-2**32", "to-2**63"])
+def test_stable_order_edge_cases(keys):
+    keys = np.array(keys, dtype=np.int64)
+    got = stable_order(keys)
+    assert got.dtype == np.int64 and got.shape == keys.shape
+    assert got.tolist() == np.argsort(keys, kind="stable").tolist()
+
+
+def test_stable_order_takes_a_pass_per_digit_that_varies(monkeypatch):
+    """A word splits at bit 63 - b, b being the bits a position needs: keys
+    that vary on one side of it take one pass, keys that vary on both two,
+    and keys that are all equal none."""
+    passes = []
+    digit_order = store._digit_order
+    monkeypatch.setattr(store, "_digit_order",
+                        lambda *a: (passes.append(1), digit_order(*a))[1])
+    rng = np.random.default_rng(3)
+    n = 1000  # b = 10, so one pass covers keys below 2**53
+    cases = ((1, 0, 0), (10, 0, 1), (2**53, 0, 1), (2**63 - 1, 0, 2), (8, 60, 1))
+    for hi, shift, want in cases:
+        keys = rng.integers(0, hi, n) << shift
+        passes.clear()
+        got = stable_order(keys)
+        assert len(passes) == want, (hi, shift)
+        assert got.tolist() == np.argsort(keys, kind="stable").tolist()
+
+
+def test_stable_order_needs_integer_keys():
+    keys = np.array([3, -1, 3, 0, -1], dtype=np.int32)
+    assert stable_order(keys).tolist() == np.argsort(keys, kind="stable").tolist()
+    with pytest.raises(TypeError, match="needs integer keys, got float64"):
+        stable_order(keys.astype(np.float64))
+
+
+@st.composite
+def big_graphs(draw):
+    """Edges over >= 65,536 nodes, so pair keys pass 2**32, with tied times
+    that mix -0.0 and 0.0."""
+    n = draw(st.sampled_from([65_536, 1_000_003, 2**31 - 1]), label="num_nodes")
+    # high ids too, so that pair keys vary above bit 57 and take two passes
+    ids = draw(st.lists(st.integers(0, n - 1) | st.sampled_from(
+        [0, 1, n // 3, n // 2 + 1, n - 2, n - 1]), min_size=1, max_size=6),
+        label="ids")
+    m = draw(st.integers(0, 60), label="m")
+    src = draw(st.lists(st.sampled_from(ids), min_size=m, max_size=m))
+    dst = draw(st.lists(st.sampled_from(ids), min_size=m, max_size=m))
+    times = st.sampled_from([-2.5, -0.0, 0.0, 0.0, 1.0, 3.25, 1e15])
+    # sorted() is stable and -0.0 == 0.0, so a run of zeros keeps its signs
+    t = sorted(draw(st.lists(times, min_size=m, max_size=m)))
+    return (np.array(src, dtype=np.int64), np.array(dst, dtype=np.int64),
+            np.array(t, dtype=np.float64), n)
+
+
+INDEX_ARRAYS = ("times", "ev_key", "ev_peer", "act_key", "pair_ids", "pair_key",
+                "pair_start")
+
+
+@settings(max_examples=300, deadline=None)
+@given(big_graphs())
+def test_build_index_is_the_unique_based_build_bitwise(graph):
+    src, dst, t, n = graph
+    got, want = build_index(src, dst, t, n), build_index_by_unique(src, dst, t, n)
+    assert got.num_nodes == want.num_nodes == n
+    for name in INDEX_ARRAYS:
+        a, b = getattr(got, name), getattr(want, name)
+        assert (a.dtype, a.shape) == (b.dtype, b.shape), name
+        assert a.tobytes() == b.tobytes(), name
+
+
+def test_build_index_keeps_each_zero_time_of_the_unique_based_build():
+    t = np.array([-1.0, -0.0, 0.0, -0.0, 0.0, 0.0, 2.0, 2.0])
+    for first in (-0.0, 0.0):
+        t[1] = first
+        src = np.arange(t.size) % 3 * 40_000
+        index = build_index(src, src[::-1], t, 2**31 - 1)
+        assert index.times.tobytes() == np.array([-1.0, first, 2.0]).tobytes()
+        want = build_index_by_unique(src, src[::-1], t, 2**31 - 1)
+        assert index.times.tobytes() == want.times.tobytes()

@@ -144,6 +144,26 @@ def test_checkpoint_roundtrip_preserves_scores(ring, tmp_path):
     assert r1.mrr == r2.mrr
 
 
+def test_checkpoint_load_draws_no_random_numbers(tmp_path, monkeypatch):
+    cfg = ModelConfig(num_nodes=12, dim=16, heads=2, layers=2, k=4,
+                      use_repeat=True)
+    for dtype in (np.float32, np.float64):
+        model = Model(cfg, seed=4, dtype=dtype)
+        path = tmp_path / f"{np.dtype(dtype).name}.bin"
+        save_checkpoint(path, model)
+        with monkeypatch.context() as m:
+            def no_draws(*args):
+                raise AssertionError("a generator was made")
+            m.setattr(np.random, "default_rng", no_draws)
+            with pytest.raises(AssertionError, match="a generator was made"):
+                Model(cfg, seed=4, dtype=dtype)  # the patch does catch a draw
+            back = load_checkpoint(path)
+        assert list(back.params) == list(model.params)
+        for k, p in model.params.items():
+            assert back.params[k].data.dtype == dtype
+            assert back.params[k].data.tobytes() == p.data.tobytes(), k
+
+
 def test_checkpoint_kind_guard(tmp_path):
     from tempolink.array_io import save_arrays
 
