@@ -40,12 +40,13 @@ output; GELU is no op of its own, since only `dense` applies it. Under
 `no_grad()` it applies GELU in place too; when recording it keeps the
 forward's Phi(x), so its backward evaluates no erf.
 `Tensor.softmax_rows` scales, masks, shifts, exponentiates and
-normalises one new array in place. `embed_window` gathers embedding
-rows, drops them out, adds positions and masks them in place on one new
-array, and its backward uses one buffer. `dropout` draws its keep mask
-in chunks, so no float64 array of the tensor's shape exists. Values and
-gradients are bitwise those of the composed ops and of one draw, which
-the tests keep as references.
+normalises one new array in place. `embed_window` is the only embedding
+lookup: it gathers rows, drops them out, and adds positions and masks
+them if asked, in place on one new array, and its backward uses one
+buffer. `dropout` multiplies by a constant keep mask, drawn in chunks,
+so no float64 array of the tensor's shape exists. Values and gradients
+are bitwise those of the composed ops and of one draw, which the tests
+keep as references.
 """
 
 import contextlib
@@ -422,30 +423,16 @@ def _scatter_rows(table, idx, g):
     kernels.scatter_add(table.grad, idx.ravel(), rows)
 
 
-def gather_rows(table, idx):
-    """table[idx] along axis 0; idx may have any shape.
+def embed_window(table, idx, p, rng, training, mask=None, pos=None, pos_idx=None):
+    """Embedding rows `table[idx]` after dropout, plus the rows
+    `pos[pos_idx]` unless `pos` is None, times `mask` unless it is None.
 
-    The adjoint scatter-adds row gradients back, so duplicate indices sum
-    in a fixed order (see `kernels.scatter_add`).
-    """
-    idx = np.ascontiguousarray(idx, dtype=np.int64)
-
-    def bw(g):
-        _scatter_rows(table, idx, g)
-
-    return Tensor(table.data[idx], _parents=(table,), _backward=bw)
-
-
-def embed_window(table, idx, mask, pos, pos_idx, p, rng, training):
-    """One op for `dropout(gather_rows(table, idx), p, rng, training)`,
-    plus `gather_rows(pos, pos_idx)` unless `pos` is None, times `mask`.
-
-    idx and mask are [B, k], mask a constant array of the table's dtype;
-    pos_idx is [k], and the result [B, k, d]. Every step runs in place on
+    idx and mask are [B, n], mask a constant array of the table's dtype;
+    pos_idx is [n], and the result [B, n, d]. Every step runs in place on
     the gathered array. The backward multiplies by the mask into one new
-    buffer, sums it over B for the positions, applies the keep mask in
-    place and scatter-adds the table's rows, then the positions' rows:
-    the order in which the composed ops' backward scatters them.
+    buffer, sums it over B for the positions, applies the keep mask and
+    scatter-adds the table's rows, then the positions' rows, so rows of
+    duplicate indices sum in a fixed order (see `kernels.scatter_add`).
     """
     idx = np.ascontiguousarray(idx, dtype=np.int64)
     s = table.data[idx]
@@ -454,14 +441,14 @@ def embed_window(table, idx, mask, pos, pos_idx, p, rng, training):
         s *= keep
     if pos is not None:
         s += pos.data[pos_idx]
-    m = mask[:, :, None]
-    np.multiply(s, m, out=s, casting="no")
+    if mask is not None:
+        np.multiply(s, mask[:, :, None], out=s, casting="no")
 
     def bw(g):
-        buf = g * m
+        buf = g if mask is None else g * mask[:, :, None]
         pos_rows = None if pos is None else buf.sum(axis=0)
         if keep is not None:
-            buf *= keep
+            buf = g * keep if mask is None else np.multiply(buf, keep, out=buf)
         _scatter_rows(table, idx, buf)
         if pos is not None:
             _scatter_rows(pos, pos_idx, pos_rows)
@@ -489,12 +476,10 @@ def _keep_mask(shape, p, rng, dtype):
 
 
 def dropout(x, p, rng, training):
-    """Inverted dropout: scales kept entries by 1/(1-p); identity in eval."""
+    """Inverted dropout: scales kept entries by 1/(1-p); identity in eval.
+
+    The keep mask is a constant, and a Tensor times a constant has
+    exactly dropout's adjoint."""
     if not training or p <= 0.0:
         return x
-    keep = _keep_mask(x.shape, p, rng, x.dtype)
-
-    def bw(g):
-        x._accum(g * keep, fresh=True)
-
-    return Tensor(x.data * keep, _parents=(x,), _backward=bw)
+    return x * _keep_mask(x.shape, p, rng, x.dtype)

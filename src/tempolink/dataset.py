@@ -68,14 +68,17 @@ def _split_spaces(path, data):
     after = np.searchsorted(starts, breaks)
     first = np.append(0, after)  # sorted, as after is
     first = first[(np.diff(first, prepend=-1) > 0) & (first < starts.size)]
-    line = np.searchsorted(after, first, side="right") + 1
+
+    def line(row):  # only an error names a line
+        return int(np.searchsorted(after, first[row], side="right")) + 1
+
     ncols = np.diff(first, append=starts.size)
     short = np.flatnonzero(ncols < 3)
     if short.size:
         i, n = first[short[0]], ncols[short[0]]
         row = [data[a:b].decode() for a, b in zip(starts[i:i + n], ends[i:i + n])]
         raise ValueError(
-            f"{path}: line {line[short[0]]}: need at least 3 columns, got {row}")
+            f"{path}: line {line(short[0])}: need at least 3 columns, got {row}")
     cols = first[:, None] + np.arange(3)
     return buf, starts[cols], ends[cols] - starts[cols], line
 
@@ -84,8 +87,8 @@ def _split_csv(path, data):
     """Rows of a comma-separated file, each field stripped of whitespace.
 
     Returns (buf, start, length, line): the [m, 3] byte offsets and
-    lengths in buf of each row's first three fields, and each row's input
-    line, counted from 1. Blank lines give no row.
+    lengths in buf of each row's first three fields, and a function from
+    a row to its input line, counted from 1. Blank lines give no row.
     """
     reader = csv.reader(io.StringIO(data.decode("utf-8"), newline=""))
     fields, line = [], []
@@ -103,8 +106,7 @@ def _split_csv(path, data):
     sized = fields if joined.isascii() else map(str.encode, fields)
     length = np.fromiter(map(len, sized), np.int64, len(fields)).reshape(-1, 3)
     start = (np.cumsum(length) - length.ravel()).reshape(-1, 3)
-    return (np.frombuffer(joined, dtype=np.uint8), start, length,
-            np.array(line, dtype=np.int64))
+    return np.frombuffer(joined, dtype=np.uint8), start, length, line.__getitem__
 
 
 def _words(buf, start, length, words):
@@ -209,9 +211,9 @@ def ingest(input_path, out_path, bipartite=False):
         return bytes(buf[start[i, col]:start[i, col] + length[i, col]])
 
     # a first row whose time column is not a number is a header line
-    skip = int(line.size > 0 and not _is_number(token(0, 2)))
-    start, length, line = start[skip:], length[skip:], line[skip:]
-    m = line.size
+    skip = int(start.size > 0 and not _is_number(token(0, 2)))
+    start, length = start[skip:], length[skip:]
+    m = start.shape[0]
     if m == 0:
         raise ValueError(f"{input_path}: no event rows")
 
@@ -227,12 +229,12 @@ def ingest(input_path, out_path, bipartite=False):
             t = tok.view(f"S{8 * words}").ravel().astype(np.float64)
         except ValueError:
             i = next(i for i in range(m) if not _is_number(token(i, 2)))
-            raise ValueError(f"{input_path}: line {line[i]}: timestamp "
+            raise ValueError(f"{input_path}: line {line(skip + i)}: timestamp "
                              f"{token(i, 2).decode()!r} is not a number") from None
     bad = np.flatnonzero(~np.isfinite(t))
     if bad.size:  # checked before the sort, which would move the row
         i = int(bad[0])
-        raise ValueError(f"{input_path}: line {line[i]}: timestamp "
+        raise ValueError(f"{input_path}: line {line(skip + i)}: timestamp "
                          f"{token(i, 2).decode()} is not finite")
 
     order = np.argsort(t, kind="stable")
@@ -268,15 +270,16 @@ def load_bundle(path):
     The container checks its own sha256, so a corrupted or tampered
     bundle raises instead of feeding garbage into a run; so does any
     other kind of container, and a bundle that lacks a meta field or an
-    array or whose meta or arrays break the rules, naming the file. A
-    bipartite bundle's `dst_nodes` must be what ingest writes: its
-    destinations, sorted and unique, and so no source.
+    array, has an array that ingest does not write, or whose meta or
+    arrays break the rules, naming the file. Meta `m` must be the event
+    count. A bipartite bundle's `dst_nodes` must be what ingest writes:
+    its destinations, sorted and unique, and so no source.
     """
     arrays, core = load_arrays(path)
     try:
         if core.get("kind") != BUNDLE_KIND:
             raise ValueError("not an event bundle")
-        missing = [f"meta field {k!r}" for k in ("num_nodes", "bipartite")
+        missing = [f"meta field {k!r}" for k in ("num_nodes", "bipartite", "m")
                    if k not in core]
         missing += [f"array {k!r}" for k in ("src", "dst", "t") if k not in arrays]
         if missing:
@@ -289,10 +292,17 @@ def load_bundle(path):
                 f"bundle meta bipartite must be true or false, got {bipartite!r}")
         if bipartite and "dst_nodes" not in arrays:
             raise ValueError("bipartite bundle has no array 'dst_nodes'")
+        written = {"src", "dst", "t"} | ({"dst_nodes"} if bipartite else set())
+        stray = sorted(set(arrays) - written)
+        if stray:
+            raise ValueError(f"{'' if bipartite else 'non-'}bipartite bundle "
+                             f"has a stray array {stray[0]!r}")
         validate_edges(arrays["src"], arrays["dst"], arrays["t"], n)
-        if "dst_nodes" in arrays:
-            check_ids("dst_nodes", arrays["dst_nodes"], n)
+        if type(core["m"]) is not int or core["m"] != arrays["t"].size:
+            raise ValueError(f"bundle meta m must be its event count "
+                             f"{arrays['t'].size}, got {core['m']!r}")
         if bipartite:
+            check_ids("dst_nodes", arrays["dst_nodes"], n)
             _check_partition(arrays["dst_nodes"], arrays["src"], arrays["dst"])
     except ValueError as e:
         raise ValueError(f"{path}: {e}") from None

@@ -1,4 +1,4 @@
-"""The embedding-gradient scatter used by `autodiff.gather_rows`.
+"""The embedding-gradient scatter used by `autodiff.embed_window`.
 
 `scatter_add` is looked up as a module attribute at call time, so a
 caller can wrap or replace it from outside the package.

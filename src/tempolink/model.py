@@ -18,10 +18,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .autodiff import Tensor, concat, dense, dropout, embed_window, gather_rows
+from .autodiff import Tensor, concat, dense, dropout, embed_window
 from .data import QueryBatch, require_int, require_real, rng_for
 
 NEG_INF = -1e30  # additive mask; exp underflows to exactly 0 after the shift
+FFN_MULT = 4  # the feed-forward block's hidden width, in multiples of dim
 
 
 @dataclass(frozen=True)
@@ -31,7 +32,6 @@ class ModelConfig:
     heads: int = 2
     layers: int = 1
     k: int = 30
-    ffn_mult: int = 4
     p_attn: float = 0.2
     p_hidden: float = 0.3
     p_emb: float = 0.2
@@ -41,7 +41,7 @@ class ModelConfig:
 
     def __post_init__(self):
         for name, lo in (("num_nodes", 1), ("dim", 1), ("heads", 1), ("k", 1),
-                         ("ffn_mult", 1), ("layers", 0)):
+                         ("layers", 0)):
             require_int(name, getattr(self, name), lo)
         for name in ("p_attn", "p_hidden", "p_emb"):
             p = require_real(name, getattr(self, name))
@@ -78,8 +78,8 @@ def _normal(seed, name, shape, scale, dtype):
 def param_table(cfg: ModelConfig):
     """{name: (shape, init)} for every parameter, in a fixed order; init is
     how `init_params` fills it: "normal", "glorot" or "zeros"."""
-    d, f = cfg.dim, cfg.ffn_mult * cfg.dim
-    table = {"emb": ((cfg.num_nodes + 1, d), "normal")}
+    d, f = cfg.dim, FFN_MULT * cfg.dim
+    table = {"emb": ((cfg.num_nodes, d), "normal")}
     if cfg.positional == "index":
         table["pos"] = ((cfg.k, d), "normal")
     for layer in range(cfg.layers):
@@ -119,7 +119,6 @@ def init_params(cfg: ModelConfig, seed: int, dtype=np.float32):
             p[name] = _glorot(seed, name, *shape, dtype)
         else:
             p[name] = np.zeros(shape, dtype=dtype)
-    p["emb"][cfg.num_nodes] = 0.0  # padding row, stays zero (masked out of every path)
     return {k: Tensor(v) for k, v in p.items()}
 
 
@@ -141,19 +140,20 @@ class Model:
         """Embed the history window: S[b, j] for slot j, zeros on padding.
 
         S is the peer's embedding row after dropout, plus the slot's
-        positional row, times the padding mask, so padded slots
-        contribute exact zeros. `embed_window` does all of it as one op
-        on one [B, k, dim] array.
+        positional row, times the padding mask. A padded slot reads row
+        0, and the mask alone makes it an exact zero, so no peer id of a
+        padded slot can change a score or a gradient. `embed_window`
+        does all of it as one op on one [B, k, dim] array.
         """
         cfg, p = self.cfg, self.params
         k = batch.nbr_peer.shape[1]
-        peer = np.where(batch.nbr_peer >= 0, batch.nbr_peer, cfg.num_nodes)
+        peer = np.maximum(batch.nbr_peer, 0)
         mask = batch.nbr_mask.astype(self.dtype)
         pos = pos_idx = None
         if cfg.positional == "index":
             # slot k-1 is the most recent event and takes position 0
             pos, pos_idx = p["pos"], np.arange(k - 1, -1, -1, dtype=np.int64)
-        s = embed_window(p["emb"], peer, mask, pos, pos_idx, cfg.p_emb, rng, training)
+        s = embed_window(p["emb"], peer, cfg.p_emb, rng, training, mask, pos, pos_idx)
         return s, mask
 
     def _heads(self, x):
@@ -210,8 +210,7 @@ class Model:
         if (batch.nbr_mask.sum(axis=1) == 0).any():
             raise ValueError("batch contains a fully padded history row")
         s, mask = self._neighbor_memory(batch, training, rng)
-        h = gather_rows(p["emb"], batch.cand)
-        h = dropout(h, cfg.p_emb, rng, training)
+        h = embed_window(p["emb"], batch.cand, cfg.p_emb, rng, training)
         for layer in range(cfg.layers):
             h = self._attend(h, s, mask, layer, training, rng)
         return h
@@ -253,5 +252,5 @@ def bpr_loss(scores: Tensor) -> Tensor:
     B, C = scores.shape
     if C != 2:
         raise ValueError("pairwise loss needs exactly one negative per positive")
-    pos_minus_neg = dense(scores, np.array([[1.0], [-1.0]], dtype=scores.dtype))
-    return (pos_minus_neg * -1.0).softplus().mean()
+    # softplus(neg - pos) = -log sigmoid(pos - neg)
+    return dense(scores, np.array([[-1.0], [1.0]])).softplus().mean()

@@ -12,7 +12,7 @@ import numpy as np
 from scipy import special
 
 from tempolink.array_io import save_arrays
-from tempolink.autodiff import Tensor, _gelu, dropout, gather_rows
+from tempolink.autodiff import Tensor, _gelu, _scatter_rows, dropout
 from tempolink.data import assemble_batch, rng_for, sample_negatives
 from tempolink.dataset import _KEEP, BUNDLE_KIND, _words
 from tempolink.store import NeighborIndex, build_index, validate_edges
@@ -99,13 +99,24 @@ def gelu_op(x):
     return Tensor(_gelu(x.data), _parents=(x,), _backward=bw)
 
 
-def window_chain(table, idx, mask, pos, pos_idx, p, rng, training):
+def gather_rows(table, idx):
+    """table[idx] along axis 0 as a Tensor op of its own; the adjoint
+    scatter-adds row gradients back in index order."""
+    idx = np.ascontiguousarray(idx, dtype=np.int64)
+
+    def bw(g):
+        _scatter_rows(table, idx, g)
+
+    return Tensor(table.data[idx], _parents=(table,), _backward=bw)
+
+
+def window_chain(table, idx, p, rng, training, mask=None, pos=None, pos_idx=None):
     """`autodiff.embed_window` as the composed ops it fuses: gather,
     dropout, the positional add and the mask, each a Tensor op of its own."""
     s = dropout(gather_rows(table, idx), p, rng, training)
     if pos is not None:
         s = s + gather_rows(pos, pos_idx)
-    return s * Tensor(mask[:, :, None])
+    return s if mask is None else s * Tensor(mask[:, :, None])
 
 
 def grad_check(fn, params, eps=1e-5, max_entries=200, seed=0):

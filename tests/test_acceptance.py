@@ -26,7 +26,7 @@ import numpy as np
 import pytest
 
 from tempolink import cli
-from tempolink.autodiff import Tensor, concat, gather_rows
+from tempolink.autodiff import Tensor, concat, embed_window
 from tempolink.data import (
     SplitSpec,
     assemble_batch,
@@ -91,8 +91,8 @@ def test_criterion_01_gradient_exactness():
                         lambda: (a.softmax_rows() * w).sum()),
             "concat": ({"a": a, "w": w},
                        lambda: gelu_op(concat([a, w], axis=-1)).sum()),
-            "gather": ({"tbl": tbl},
-                       lambda: gather_rows(tbl, idx).softplus().sum()),
+            "embed_window": ({"tbl": tbl}, lambda: embed_window(
+                tbl, idx, 0.0, None, False).softplus().sum()),
         }
         for name, (params, fn) in prims.items():
             errs = grad_check(fn, params)
@@ -174,7 +174,7 @@ def test_criterion_02_attention_invariants(monkeypatch):
             # replicate the value path with the same batched numpy ops,
             # then demand bit equality with the layer output
             p = {k_: v.data for k_, v in model.params.items()}
-            peer = np.where(batch.nbr_peer >= 0, batch.nbr_peer, cfg.num_nodes)
+            peer = np.maximum(batch.nbr_peer, 0)  # the mask zeroes padded slots
             s_mem = p["emb"][peer] + p["pos"][np.arange(cfg.k - 1, -1, -1)]
             s_mem = s_mem * batch.nbr_mask.astype(dtype)[:, :, None]
             v = (s_mem @ p["l0.wv"]).reshape(1, cfg.k, nh, dh).transpose(0, 2, 1, 3)

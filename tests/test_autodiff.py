@@ -18,7 +18,6 @@ from tempolink.autodiff import (
     dense,
     dropout,
     embed_window,
-    gather_rows,
     no_grad,
 )
 from tempolink.optim import Adam
@@ -159,19 +158,36 @@ WINDOW_MODES = [("train", 0.2), ("train", 0.0), ("eval", 0.2)]
 @pytest.mark.parametrize("mode,p", WINDOW_MODES, ids=["train-p0.2", "train-p0", "eval"])
 def test_embed_window_is_the_composed_ops_bitwise(dtype, positional, mode, p,
                                                   monkeypatch):
+    _check_window_against_chain(dtype, True, positional, mode, p, monkeypatch)
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize("positional", [True, False], ids=["pos", "no-pos"])
+@pytest.mark.parametrize("mode,p", WINDOW_MODES, ids=["train-p0.2", "train-p0", "eval"])
+def test_embed_window_without_a_mask_is_the_composed_ops_bitwise(
+        dtype, positional, mode, p, monkeypatch):
+    _check_window_against_chain(dtype, False, positional, mode, p, monkeypatch)
+
+
+def _check_window_against_chain(dtype, masked, positional, mode, p, monkeypatch):
+    """`embed_window` against `window_chain`: values, gradients, the
+    dropout stream and the scatter calls, bitwise; inputs untouched."""
     rng = np.random.default_rng(13)
     B, k, d, n = 9, 6, 5, 8
     mask = (rng.random((B, k)) < 0.6).astype(dtype)
     mask[:, -1] = 1.0
     idx = rng.integers(0, 3, (B, k))  # peers repeat within and across rows
-    idx[mask == 0] = n - 1  # padded slots read the padding row, as in the model
+    idx[mask == 0] = 0  # padded slots read row 0, as in the model
+    if not masked:
+        mask = None
     table = Tensor(rng.standard_normal((n, d)).astype(dtype))
     pos = Tensor(rng.standard_normal((k, d)).astype(dtype)) if positional else None
     pos_idx = np.arange(k - 1, -1, -1, dtype=np.int64)
     seed = rng.standard_normal((B, k, d)).astype(dtype)
     seed[0, 0, :2] = [-0.0, np.nan]
     params = [table] + [pos] * positional
-    before = [a.tobytes() for a in [idx, mask] + [t.data for t in params]]
+    consts = [idx] + [mask] * masked
+    before = [a.tobytes() for a in consts + [t.data for t in params]]
     scatter = kernels.scatter_add
 
     def run(op):
@@ -181,7 +197,7 @@ def test_embed_window_is_the_composed_ops_bitwise(dtype, positional, mode, p,
         monkeypatch.setattr(kernels, "scatter_add", lambda table, i, rows: (
             calls.append((len(table), len(i))), scatter(table, i, rows)))
         drop = np.random.default_rng(21)
-        out = op(table, idx, mask, pos, pos_idx, p, drop, mode == "train")
+        out = op(table, idx, p, drop, mode == "train", mask, pos, pos_idx)
         assert out.dtype == dtype
         out.backward(seed=seed)
         return [out.data] + [t.grad for t in params], drop.bit_generator.state, calls
@@ -193,10 +209,10 @@ def test_embed_window_is_the_composed_ops_bitwise(dtype, positional, mode, p,
         assert a.tobytes() == b.tobytes()
     assert np.isnan(table.grad).any()
     with no_grad():
-        fast = embed_window(table, idx, mask, pos, pos_idx, p,
-                            np.random.default_rng(21), mode == "train")
+        fast = embed_window(table, idx, p, np.random.default_rng(21),
+                            mode == "train", mask, pos, pos_idx)
     assert fast._parents == () and fast.data.tobytes() == want[0].tobytes()
-    assert [a.tobytes() for a in [idx, mask] + [t.data for t in params]] == before
+    assert [a.tobytes() for a in consts + [t.data for t in params]] == before
 
 
 @pytest.mark.parametrize("shape", [
@@ -374,10 +390,10 @@ def test_softplus_is_stable_and_exact():
 # -- hand-built adjoints --------------------------------------------------------
 
 
-def test_gather_rows_backward_sums_duplicates():
+def test_embed_window_backward_sums_duplicates():
     table = Tensor(np.zeros((3, 2)))
-    out = gather_rows(table, np.array([0, 0, 1]))
-    out.backward(seed=np.array([[1.0, 2.0], [3.0, 4.0], [5.0, 6.0]]))
+    out = embed_window(table, np.array([[0, 0, 1]]), 0.0, None, False)
+    out.backward(seed=np.array([[[1.0, 2.0], [3.0, 4.0], [5.0, 6.0]]]))
     np.testing.assert_allclose(table.grad, [[4.0, 6.0], [5.0, 6.0], [0.0, 0.0]])
 
 
@@ -615,8 +631,9 @@ def test_primitive_gradients_against_central_differences():
                 np.ones((5, 12)))], axis=0)).sum(),
             {"a": a, "d": d},
         ),
-        "gather": (
-            lambda: gelu_op(gather_rows(b, np.array([0, 5, 5, 2]))).sum(),
+        "embed_window": (
+            lambda: gelu_op(embed_window(b, np.array([[0, 5, 5, 2]]), 0.0, None,
+                                         False)).sum(),
             {"b": b},
         ),
     }
@@ -637,7 +654,7 @@ def test_small_mlp_chain_gradient():
     idx = np.array([1, 4, 4, 8, 0])
 
     def fn():
-        x = gather_rows(params["emb"], idx)
+        x = embed_window(params["emb"], idx[None], 0.0, None, False).reshape(5, 7)
         h = gelu_op(x @ params["w1"] + params["b1"])
         return (h @ params["w2"] * -1.0).softplus().mean()
 

@@ -1,6 +1,7 @@
 """End-to-end command-line flows on a small synthetic dataset."""
 
 import copy
+import dataclasses
 import json
 import hashlib
 import os
@@ -14,12 +15,12 @@ import numpy as np
 import pytest
 
 from tempolink.array_io import load_arrays, read_digest, save_arrays
-from tempolink.cli import main
-from tempolink.data import assemble_batch, eval_negatives, train_negatives
+from tempolink.cli import load_config, main
+from tempolink.data import SplitSpec, assemble_batch, eval_negatives, train_negatives
 from tempolink.dataset import ingest, load_bundle
 from tempolink.model import Model, ModelConfig
 from tempolink.store import build_index
-from tempolink.trainer import load_checkpoint, save_checkpoint
+from tempolink.trainer import TrainConfig, load_checkpoint, save_checkpoint
 
 SRC = Path(__file__).resolve().parents[1] / "src"
 
@@ -385,11 +386,19 @@ def _set(arrays, name, i, value):
                   f"at position {a['dst_nodes'].size - 1} follows {a['dst_nodes'][-2]}"),
     (True, lambda a, m: a.update(dst_nodes=np.setdiff1d(a["dst_nodes"], a["dst"][:1])),
      lambda a, m: f"dst id {a['dst'][0]} at edge 0 is not in dst_nodes"),
+    (True, lambda a, m: a.update(weight=np.ones(a["t"].size)),
+     lambda a, m: "bipartite bundle has a stray array 'weight'"),
+    (False, lambda a, m: a.update(dst_nodes=np.unique(a["dst"])),
+     lambda a, m: "non-bipartite bundle has a stray array 'dst_nodes'"),
+    (False, lambda a, m: m.update(m=m["m"] - 1),
+     lambda a, m: f"bundle meta m must be its event count {a['t'].size}, "
+                  f"got {m['m']}"),
 ], ids=["src-id", "dst-id", "dst_nodes-id", "num_nodes-string", "num_nodes-zero",
         "num_nodes-bool", "bipartite-int", "bipartite-without-dst_nodes",
         "t-short", "t-reversed", "t-nan", "t-bool", "src-float",
         "dst_nodes-float", "dst_nodes-2d", "dst_nodes-with-a-src",
-        "dst_nodes-duplicate", "dst_nodes-out-of-order", "dst_nodes-without-a-dst"])
+        "dst_nodes-duplicate", "dst_nodes-out-of-order", "dst_nodes-without-a-dst",
+        "stray-array", "dst_nodes-not-bipartite", "m-not-the-event-count"])
 def test_bundle_meta_must_agree_with_its_arrays(tmp_path, capsys, bipartite,
                                                 edit, why):
     good = tmp_path / "good.bin"
@@ -406,7 +415,7 @@ def test_bundle_meta_must_agree_with_its_arrays(tmp_path, capsys, bipartite,
     assert not run.exists()
 
 
-@pytest.mark.parametrize("field", ["num_nodes", "bipartite", "src", "dst", "t"])
+@pytest.mark.parametrize("field", ["num_nodes", "bipartite", "m", "src", "dst", "t"])
 def test_bundle_without_a_field_names_it(tmp_path, capsys, field):
     arrays, meta = load_arrays(make_bundle(tmp_path))
     if field in meta:
@@ -665,6 +674,15 @@ def test_unknown_config_section_rejected(tmp_path, capsys):
     assert "unknown config sections" in capsys.readouterr().err
 
 
+def test_default_config_documents_every_field_at_its_default():
+    raw = load_config(Path(__file__).resolve().parents[1] / "configs" / "default.json")
+    for section, cls, fixed in (("model", ModelConfig, {"num_nodes": 1}),
+                                ("train", TrainConfig, {}), ("split", SplitSpec, {})):
+        names = {f.name for f in dataclasses.fields(cls)} - set(fixed)
+        assert set(raw[section]) == names, section
+        assert cls(**fixed, **raw[section]) == cls(**fixed), section
+
+
 @pytest.mark.parametrize("section,key", [
     ("model", "width"), ("train", "epochs"), ("split", "train_fraction"),
 ])
@@ -680,7 +698,7 @@ def test_bad_config_key_rejected(tmp_path, capsys, section, key):
 
 @pytest.mark.parametrize("section,key,value", [
     ("model", "heads", 0), ("model", "dim", 0), ("model", "k", 0),
-    ("model", "ffn_mult", 0), ("model", "layers", -1),
+    ("model", "layers", -1),
     ("model", "p_emb", 1.0), ("model", "p_attn", -0.1),
     ("model", "p_attn", False), ("model", "p_attn", "0.1"),
     ("model", "p_hidden", None), ("model", "p_emb", "0.1"),

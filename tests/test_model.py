@@ -1,10 +1,12 @@
 """Scorer equivalence with the loop reference, plus structural invariants."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
 from oracles import grad_check, make_batch, reference_bpr, reference_scores
-from tempolink.autodiff import Tensor, gather_rows, no_grad
+from tempolink.autodiff import Tensor, embed_window, no_grad
 from tempolink.data import QueryBatch, assemble_batch
 from tempolink.model import Model, ModelConfig, bpr_loss, init_params
 from tempolink.store import build_index
@@ -149,11 +151,39 @@ def test_padded_slots_receive_zero_attention_mass():
     model = f64_model(cfg)
     batch = make_batch(seed=11, k=8, n_edges=120)  # short histories: padding
     s, mask = model._neighbor_memory(batch, False, None)
-    h = gather_rows(model.params["emb"], batch.cand)
+    h = embed_window(model.params["emb"], batch.cand, 0.0, None, False)
     att = model._attention(h, s, mask, 0).data  # every head, as encode runs it
     pads = np.broadcast_to((mask == 0)[:, None, None, :], att.shape)
     assert pads.any()
     assert (att[pads] == 0.0).all()  # exact, not approximately
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_padded_peer_ids_change_no_score_or_gradient(dtype):
+    # the mask alone keeps padding out: whatever row a padded slot reads,
+    # training scores and every parameter gradient stay the same
+    cfg = ModelConfig(num_nodes=30, dim=16, heads=2, layers=2, k=8,
+                      use_repeat=True)
+    batch = make_batch(seed=11, B=16, C=2, k=8, n_edges=120)
+    pad = batch.nbr_mask == 0
+    assert pad.any() and (batch.nbr_peer[pad] == -1).all()
+    other = batch.nbr_peer.copy()
+    other[pad] = np.random.default_rng(3).integers(0, cfg.num_nodes, pad.sum())
+    assert len(set(other[pad].tolist())) > 1
+
+    def run(nbr_peer):
+        model = Model(cfg, seed=5, dtype=dtype)
+        b = dataclasses.replace(batch, nbr_peer=nbr_peer)
+        scores = model.score(b, training=True, rng=np.random.default_rng(9))
+        bpr_loss(scores).backward()
+        return scores.data, {k: t.grad for k, t in model.params.items()}
+
+    want_scores, want_grads = run(batch.nbr_peer)
+    got_scores, got_grads = run(other)
+    assert np.array_equal(got_scores, want_scores)
+    assert got_grads.keys() == want_grads.keys()
+    for k in want_grads:
+        assert np.array_equal(got_grads[k], want_grads[k]), k
 
 
 def test_full_pipeline_gradients():
@@ -194,8 +224,8 @@ def test_init_is_seed_deterministic_and_name_keyed():
     np.testing.assert_array_equal(pa["l0.wq"].data, pb["l0.wq"].data)
     # the head widens when the repeat feature is on
     assert pa["head.w1"].shape[0] + cfg_a.dim == pb["head.w1"].shape[0]
-    # padding row frozen at zero
-    assert (pa["emb"].data[15] == 0).all()
+    # one row per node, none for padding
+    assert pa["emb"].shape == (15, 8)
     pc = init_params(cfg_a, seed=4, dtype=np.float64)
     assert (pa["emb"].data != pc["emb"].data).any()
 
